@@ -5,107 +5,33 @@ finds the first base reaching each entry, computes the 122-digit period
 of the classification, and regression-checks the bundled golden tables.
 """
 
-from .arith import ExactRational, PrimePower, Sieve, mod_pow, render_decimal
-from .cascade import (
-    Cascade,
-    Characterization,
-    FamilyReport,
-    RootDescription,
-    build_cascade,
-    derive_k_m,
-    family_check,
-)
+from .cascade import build_cascade, derive_k_m, family_check
 from .census import (
     CensusReport,
-    FirstBaseScan,
     classify_range,
-    densities,
     density_by_residue_count,
-    extremes,
-    first_bases,
-    oracle_period_census,
-    rarity_regression,
     verify_skipped,
 )
-from .events import (
-    FormViolation,
-    PreemptionLedger,
-    PrimePowerEvent,
-    Residual,
-    composite_event,
-    lift_residues,
-    prime_power_event,
-)
 from .period import (
-    PeriodConstant,
     minimality_witnesses,
-    period_constant,
     periodicity_check,
-    primorial,
     verify_lcm,
 )
-from .pretender import (
-    UNIVERSAL_PRETENDER,
-    NotCompositeError,
-    is_fermat_pseudoprime,
-    is_prime_pretender,
-    pretender_profile,
-    primary_pretender_oracle,
-)
-from .tables import (
-    class_profile,
-    gen_mod36,
-    gen_table1,
-    gen_table2,
-    run_regressions,
-)
+from .pretender import primary_pretender_oracle
+from .tables import run_regressions
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cascade",
     "CensusReport",
-    "Characterization",
-    "ExactRational",
-    "FamilyReport",
-    "FirstBaseScan",
-    "FormViolation",
-    "NotCompositeError",
-    "PeriodConstant",
-    "PreemptionLedger",
-    "PrimePower",
-    "PrimePowerEvent",
-    "Residual",
-    "RootDescription",
-    "Sieve",
-    "UNIVERSAL_PRETENDER",
     "build_cascade",
-    "class_profile",
     "classify_range",
-    "composite_event",
-    "densities",
     "density_by_residue_count",
     "derive_k_m",
-    "extremes",
     "family_check",
-    "first_bases",
-    "gen_mod36",
-    "gen_table1",
-    "gen_table2",
-    "is_fermat_pseudoprime",
-    "is_prime_pretender",
-    "lift_residues",
     "minimality_witnesses",
-    "mod_pow",
-    "oracle_period_census",
-    "period_constant",
     "periodicity_check",
-    "pretender_profile",
-    "prime_power_event",
     "primary_pretender_oracle",
-    "primorial",
-    "rarity_regression",
-    "render_decimal",
     "run_regressions",
     "verify_lcm",
     "verify_skipped",

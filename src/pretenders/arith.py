@@ -1,11 +1,10 @@
 """Integer and exact-rational groundwork for the pretender computations.
 
 Arbitrary-precision naturals are Python ints.  Exact rationals are
-``fractions.Fraction`` (re-exported as ``ExactRational``): always reduced,
-denominator positive, so densities and rarities never touch floats.  The
-sieve is a smallest-prime-factor table, which gives primality, full
-factorizations into maximal prime powers, and the composite list in one
-pass.
+``fractions.Fraction``: always reduced, denominator positive, so
+densities and rarities never touch floats.  The sieve is a
+smallest-prime-factor table, which gives primality, full factorizations
+into maximal prime powers, and the composite list in one pass.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,6 @@ from functools import lru_cache
 from math import isqrt
 
 __all__ = [
-    "ExactRational",
     "PrimePower",
     "Sieve",
     "crt",
@@ -25,8 +23,6 @@ __all__ = [
     "render_decimal",
     "sieve_and_factor",
 ]
-
-ExactRational = Fraction
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,8 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import Sieve, reciprocal, render_decimal, sieve_and_factor
-from .events import (FormViolation, PreemptionLedger, composite_event,
-                     lift_residues)
+from .events import PreemptionLedger, composite_event
 from .pretender import UNIVERSAL_PRETENDER
 
 __all__ = [
@@ -47,17 +46,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Characterization:
-    """One decision-list entry and the insertion-time state behind it."""
+    """One decision-list entry.  Its insertion-time state lives in the
+    ledger's claim tables: the cells of ``prime`` still free when q was
+    reached hold a value >= q, and the cells q claimed hold q itself."""
 
     q: int
     root_degree: int           # k in "k-th roots of 0 or 1 (mod m)"
     root_modulus: int          # m: the constrained prime power, 1 if none
     prime: int | None          # constrained prime, None for the universal entry
     event: frozenset[int]      # residues mod root_modulus satisfying the event
-    event_lifted: frozenset[int] | None   # same, mod the tracked prime power
-    new_residues: frozenset[int]          # event minus blocked, mod tracked power
-    free_before: frozenset[int] | None    # free residues of `prime` at insertion
-    allowed: dict[int, frozenset[int]]    # per-prime factors of the new base set
     density: Fraction          # exact share of bases claimed by this entry
 
     @property
@@ -154,10 +151,8 @@ def build_cascade(sieve: Sieve | None = None) -> Cascade:
         if res.density == 0:
             skipped.append(SkippedComposite(q, res.empty_primes))
             continue
+        ledger.ingest(events)   # raises FormViolation on several primes
         nontrivial = [ev for ev in events if not ev.trivial]
-        if len(nontrivial) > 1:
-            ledger.ingest(events)  # raises FormViolation with the details
-            raise FormViolation(f"winner {q} constrains several primes")
         if nontrivial:
             ev = nontrivial[0]
             p = ev.pp.p
@@ -168,21 +163,13 @@ def build_cascade(sieve: Sieve | None = None) -> Cascade:
                 root_modulus=ev.modulus,
                 prime=p,
                 event=ev.residues,
-                event_lifted=lift_residues(ev.residues, ev.modulus,
-                                           ledger.moduli[p]),
-                new_residues=res.allowed[p],
-                free_before=ledger.free(p),
-                allowed=dict(res.allowed),
                 density=res.density,
             )
-            ledger.ingest(events)
         else:
             # universal pretender: every base matches, absorbing the rest
             entry = Characterization(
                 q=q, root_degree=1, root_modulus=1, prime=None,
-                event=frozenset({0}), event_lifted=None,
-                new_residues=frozenset({0}), free_before=None,
-                allowed=dict(res.allowed), density=res.density,
+                event=frozenset({0}), density=res.density,
             )
         entries.append(entry)
     return Cascade(tuple(entries), ledger, tuple(skipped), sieve)
@@ -222,8 +209,10 @@ def derive_k_m(cascade: Cascade, q: int, verify: bool = True) -> RootDescription
         if not entry.event <= formula:
             raise RootDescriptionError(
                 f"entry {q}: event escapes the k-th-roots description")
-        lifted = lift_residues(formula, m, cascade.ledger.moduli[p])
-        if (lifted & entry.free_before) != entry.new_residues:
+        claims = cascade.ledger.claims[p]
+        free_before = [r for r, v in enumerate(claims) if v >= q]
+        new_residues = [r for r in free_before if claims[r] == q]
+        if [r for r in free_before if r % m in formula] != new_residues:
             raise RootDescriptionError(
                 f"entry {q}: surplus roots of 0 were not all preempted")
     return RootDescription(q, degree, m, formula, formula - entry.event)

@@ -41,28 +41,23 @@ def densities(cascade: Cascade) -> dict[int, Fraction]:
     return {e.q: e.density for e in cascade.entries}
 
 
-def _lookup_tables(cascade: Cascade) -> list[tuple[int, int, np.ndarray]]:
-    tables = []
-    for e in cascade.entries:
-        hit = np.zeros(e.root_modulus, dtype=bool)
-        hit[list(e.event)] = True
-        tables.append((e.q, e.root_modulus, hit))
-    return tables
+def classify_range(cascade: Cascade, start: int, stop: int) -> np.ndarray:
+    """Vector of primary pretenders for b in [start, stop).
 
-
-def classify_range(cascade: Cascade, start: int, stop: int,
-                   tables=None) -> np.ndarray:
-    """Vector of primary pretenders for b in [start, stop)."""
-    if tables is None:
-        tables = _lookup_tables(cascade)
-    bases = np.arange(start, stop, dtype=np.int64)
+    Only offsets from ``start`` enter the arrays; ``start`` itself is
+    reduced per entry modulus as a Python int, so any start works,
+    however large or negative.
+    """
     out = np.zeros(stop - start, dtype=np.int32)
     open_idx = np.arange(stop - start, dtype=np.int64)
-    for q, m, hit in tables:
+    for e in cascade.entries:
         if open_idx.size == 0:
             break
-        matched = hit[bases[open_idx] % m]
-        out[open_idx[matched]] = q
+        m = e.root_modulus
+        hit = np.zeros(m, dtype=bool)
+        hit[list(e.event)] = True
+        matched = hit[(open_idx + start % m) % m]
+        out[open_idx[matched]] = e.q
         open_idx = open_idx[~matched]
     assert open_idx.size == 0, "universal entry must resolve every base"
     return out
@@ -80,12 +75,11 @@ def first_bases(cascade: Cascade, max_base: int = DEFAULT_MAX_BASE,
                 chunk_size: int = 1_000_000) -> FirstBaseScan:
     """Least base for every entry, scanning [0, max_base) in chunks."""
     t0 = time.perf_counter()
-    tables = _lookup_tables(cascade)
     found: dict[int, int] = {}
     want = set(cascade.qs())
     for lo in range(0, max_base, chunk_size):
         hi = min(lo + chunk_size, max_base)
-        vals = classify_range(cascade, lo, hi, tables)
+        vals = classify_range(cascade, lo, hi)
         for q in np.unique(vals):
             q = int(q)
             if q in want:

@@ -108,13 +108,13 @@ def _cmd_period(args) -> int:
         if not lc.equal:
             status = 1
     if args.samples:
-        rep = periodicity_check(build_cascade(), samples=args.samples)
+        rep = periodicity_check(cascade, samples=args.samples)
         print(f"periodicity: {rep.checked} bases checked, "
               f"{len(rep.failures)} failures")
         if not rep.ok:
             status = 1
     if args.minimality:
-        rep = minimality_witnesses(build_cascade())
+        rep = minimality_witnesses(cascade)
         print(f"minimality: witnesses for {len(rep.witnesses)} primes, "
               f"{len(rep.failed)} unwitnessed")
         if not rep.ok:
@@ -127,9 +127,11 @@ def _cmd_table(args) -> int:
     if args.which == "mod36":
         sys.stdout.write(format_mod36(gen_mod36(cascade), args.format))
     elif args.which == "t1":
-        sys.stdout.write(format_table1(gen_table1(cascade), args.format))
+        t1 = gen_table1(cascade, gen_mod36(cascade))
+        sys.stdout.write(format_table1(t1, args.format))
     elif args.which == "t2":
-        sys.stdout.write(format_table2(gen_table2(cascade), args.format))
+        t1 = gen_table1(cascade, gen_mod36(cascade))
+        sys.stdout.write(format_table2(gen_table2(cascade, t1), args.format))
     else:   # t3 needs the first-base scan
         report = CensusReport.build(cascade)
         sys.stdout.write(format_t3(report, args.format))
@@ -153,6 +155,20 @@ def _cmd_verify(args) -> int:
         if bad_bases:
             return 1
     return 0 if summary.ok else 1
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    return value
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -179,13 +195,13 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("firstbases", help="scan for least base per entry")
-    p.add_argument("--max", type=int, default=DEFAULT_MAX_BASE)
+    p.add_argument("--max", type=_positive, default=DEFAULT_MAX_BASE)
     p.set_defaults(func=_cmd_firstbases)
 
     p = sub.add_parser("period", help="the period constant and its checks")
     p.add_argument("--digits", action="store_true",
                    help="print only the digit string")
-    p.add_argument("--samples", type=int, default=0, metavar="N",
+    p.add_argument("--samples", type=_non_negative, default=0, metavar="N",
                    help="also spot-check periodicity on N bases")
     p.add_argument("--minimality", action="store_true",
                    help="also exhibit a witness for each prime divisor")
@@ -200,7 +216,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="diff every display against golden data")
     p.add_argument("--golden", metavar="DIR", default=None,
                    help="directory of golden assets (default: bundled)")
-    p.add_argument("--oracle-limit", type=int, default=10_000, metavar="N",
+    p.add_argument("--oracle-limit", type=_non_negative, default=10_000,
+                   metavar="N",
                    help="also cross-check classify against the oracle "
                         "on [0, N] (0 skips)")
     p.set_defaults(func=_cmd_verify)
@@ -222,3 +239,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -9,12 +9,12 @@ contains 0 and 1; for e = 1 it is {0} plus the gcd(q-1, p-1) roots of
 unity, and it is the full residue system exactly when the component
 places no constraint on b.
 
-The ``PreemptionLedger`` accumulates, per prime, the residues already
-claimed by earlier winners of the least-pretender contest.  Each winner
-constrains a single prime, so the unclaimed bases stay a product of
-per-prime free sets and every residual density is an exact product of
-per-prime fractions.  Tracked exponents are the maximal prime powers
-occurring in any composite up to the sieve limit, derived from the sieve.
+The ``PreemptionLedger`` keeps, per prime, a table naming the first
+winner of the least-pretender contest that claimed each residue.  Each
+winner constrains a single prime, so the unclaimed bases stay a product
+of per-prime free cells and every residual density is an exact ratio of
+cell counts.  Tracked exponents are the maximal prime powers occurring
+in any composite up to the sieve limit, derived from the sieve.
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,6 @@ __all__ = [
     "PreemptionLedger",
     "Residual",
     "composite_event",
-    "lift_residues",
     "prime_power_event",
 ]
 
@@ -73,41 +72,34 @@ def composite_event(q: int, sieve: Sieve) -> tuple[PrimePowerEvent, ...]:
     return tuple(prime_power_event(q, pp) for pp in sieve.factorization(q))
 
 
-def lift_residues(residues: frozenset[int], base_modulus: int,
-                  target_modulus: int) -> frozenset[int]:
-    """Preimage of a residue set under reduction from a larger modulus.
-
-    Density is preserved: len grows by exactly target/base.
-    """
-    if target_modulus % base_modulus != 0:
-        raise ValueError(
-            f"cannot lift mod {base_modulus} to non-multiple {target_modulus}")
-    return frozenset(r + k * base_modulus
-                     for r in residues
-                     for k in range(target_modulus // base_modulus))
-
-
 @dataclass
 class Residual:
     """Unclaimed slice of a composite's event set at some ledger state.
 
-    ``allowed`` holds, for every prime whose factor is not 1, the residues
-    (mod the tracked power) that are inside the event and still free.
-    The density is the product of len(allowed[p]) / p**E_p; it is zero
-    exactly when some allowed set is empty.
+    ``free`` holds, for every prime the slice constrains, the number of
+    cells (residues mod the tracked power) inside the event and still
+    unclaimed.  The density is the product of free[p] / p**E_p; it is zero
+    exactly when some count is zero.
     """
 
     q: int
-    allowed: dict[int, frozenset[int]]
+    free: dict[int, int]
     density: Fraction
 
     @property
     def empty_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, s in self.allowed.items() if not s)
+        return tuple(p for p, n in self.free.items() if not n)
 
 
 class PreemptionLedger:
-    """Per-prime blocked/free residue bookkeeping for the cascade build."""
+    """Per-prime first-claim tables for the cascade build.
+
+    ``claims[p][r]`` is the q of the first ingested winner whose event
+    contains r mod ``moduli[p]``, or ``unclaimed`` (the sieve limit, 561:
+    the universal pretender) while no winner has claimed r.  Winners are
+    ingested in increasing order, so at the insertion of q the free cells
+    of p are exactly those holding a value >= q.
+    """
 
     def __init__(self, sieve: Sieve):
         self.sieve = sieve
@@ -118,49 +110,34 @@ class PreemptionLedger:
                     exponents[pp.p] = pp.e
         self.exponents = dict(sorted(exponents.items()))
         self.moduli = {p: p ** e for p, e in self.exponents.items()}
-        self._blocked: dict[int, set[int]] = {p: set() for p in self.exponents}
-        self._full = {p: frozenset(range(m)) for p, m in self.moduli.items()}
-
-    @property
-    def tracked_primes(self) -> tuple[int, ...]:
-        return tuple(self.exponents)
-
-    def blocked(self, p: int) -> frozenset[int]:
-        return frozenset(self._blocked[p])
-
-    def free(self, p: int) -> frozenset[int]:
-        return self._full[p] - self._blocked[p]
-
-    def blocked_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, s in self._blocked.items() if s)
+        self.unclaimed = sieve.limit
+        self.claims = {p: [self.unclaimed] * m for p, m in self.moduli.items()}
+        self._free: dict[int, int] = {}   # unclaimed cells per claimed prime
 
     def residual(self, q: int,
                  events: tuple[PrimePowerEvent, ...] | None = None) -> Residual:
         """Event set of q minus everything already claimed, as per-prime
-        allowed sets with their exact joint density."""
+        free-cell counts with their exact joint density."""
         if events is None:
             events = composite_event(q, self.sieve)
-        allowed: dict[int, frozenset[int]] = {}
+        free: dict[int, int] = {}
         for ev in events:
-            p = ev.pp.p
-            lifted = (self._full[p] if ev.trivial
-                      else lift_residues(ev.residues, ev.modulus, self.moduli[p]))
-            cut = lifted - self._blocked[p]
-            if len(cut) != self.moduli[p]:
-                allowed[p] = cut
-        event_primes = {ev.pp.p for ev in events}
-        for p in self.blocked_primes():
-            if p not in event_primes:
-                allowed[p] = self.free(p)
-        density = Fraction(1)
-        for p, residues in allowed.items():
-            density *= Fraction(len(residues), self.moduli[p])
-        return Residual(q, allowed, density)
+            if not ev.trivial:
+                table = self.claims[ev.pp.p]
+                free[ev.pp.p] = sum(table[r::ev.modulus].count(self.unclaimed)
+                                    for r in ev.residues)
+        for p, n in self._free.items():
+            free.setdefault(p, n)
+        num = den = 1
+        for p, n in free.items():
+            num *= n
+            den *= self.moduli[p]
+        return Residual(q, free, Fraction(num, den))
 
     def ingest(self, events: tuple[PrimePowerEvent, ...]) -> None:
-        """Mark a winner's event as claimed.  The winner must constrain at
-        most one prime; otherwise the product structure would be lost and
-        FormViolation is raised."""
+        """Claim a winner's unclaimed event cells.  The winner must
+        constrain at most one prime; otherwise the product structure would
+        be lost and FormViolation is raised."""
         nontrivial = [ev for ev in events if not ev.trivial]
         if len(nontrivial) > 1:
             primes = [ev.pp.p for ev in nontrivial]
@@ -169,5 +146,9 @@ class PreemptionLedger:
         if not nontrivial:
             return  # universal pretender: nothing left to claim after it
         ev = nontrivial[0]
-        p = ev.pp.p
-        self._blocked[p] |= lift_residues(ev.residues, ev.modulus, self.moduli[p])
+        table = self.claims[ev.pp.p]
+        for r in ev.residues:
+            for i in range(r, len(table), ev.modulus):
+                if table[i] == self.unclaimed:
+                    table[i] = ev.q
+        self._free[ev.pp.p] = table.count(self.unclaimed)

@@ -146,16 +146,17 @@ def minimality_witnesses(cascade: Cascade) -> MinimalityReport:
     classify(b) != classify(b + N/p).
 
     Construction: take the first entry whose constrained modulus carries
-    the full power of p present in N, and assemble b by CRT from the
-    entry's insertion-time allowed residues, picking the p-residue so that
-    the shift by N/p knocks it out of the entry's event.  classify(b) is
-    then the entry's q and classify(b + N/p) cannot be.
+    the full power of p present in N, and assemble b by CRT from the claim
+    tables: at p a cell the entry claims, picked so that the shift by N/p
+    knocks it out of the entry's event, and at every other prime the least
+    cell claimed after the entry (or never).  classify(b) is then the
+    entry's q and classify(b + N/p) cannot be.
     """
     n = period_constant(cascade.sieve.limit).value
     ledger = cascade.ledger
     target_exp: dict[int, int] = {}
     value = n
-    for p in ledger.tracked_primes:
+    for p in ledger.moduli:
         e = 0
         while value % p == 0:
             value //= p
@@ -175,23 +176,17 @@ def minimality_witnesses(cascade: Cascade) -> MinimalityReport:
             failed.append(p)
             continue
         shift = n // p
-        chosen = next((r for r in sorted(entry.allowed[p])
-                       if (r + shift) % entry.root_modulus not in entry.event),
+        chosen = next((r for r, v in enumerate(ledger.claims[p])
+                       if v == entry.q
+                       and (r + shift) % entry.root_modulus not in entry.event),
                       None)
         if chosen is None:
             failed.append(p)
             continue
-        residues, moduli = [], []
-        for tp in ledger.tracked_primes:
-            slot = entry.allowed.get(tp)
-            if tp == p:
-                residues.append(chosen)
-            elif slot:
-                residues.append(min(slot))
-            else:
-                residues.append(0)
-            moduli.append(ledger.moduli[tp])
-        b = crt(residues, moduli)
+        residues = [chosen if tp == p
+                    else next(r for r, v in enumerate(table) if v > entry.q)
+                    for tp, table in ledger.claims.items()]
+        b = crt(residues, list(ledger.moduli.values()))
         v, sv = cascade.classify(b), cascade.classify(b + shift)
         if v != entry.q or sv == v or (b - (b + shift)) % shift != 0:
             failed.append(p)

@@ -1,10 +1,10 @@
 """Residue-class displays, their derivation, and golden-file regression.
 
 A residue class c mod M pins b mod p**v for each prime power p**v || M.
-Walking the decision list with per-prime free sets restricted to the
-class tells exactly which entries claim members of the class; the class
-shows a definite value precisely when a single entry claims all of it.
-That walk produces the mod-36 display (values 4, 6, 9 or '?'), the 20x7
+Restricting the ledger's per-prime claim tables to the pinned cells tells
+exactly which entries claim members of the class; the class shows a
+definite value precisely when a single entry claims all of it.  That
+restriction produces the mod-36 display (values 4, 6, 9 or '?'), the 20x7
 grid over the undecided classes mod 1260 (values 10, 14, 15, 21 or '?'),
 and the 32 columns of the computed-value grid for the classes that stay
 undecided at every modulus dividing 1260.
@@ -17,6 +17,7 @@ diffed against.
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 from pathlib import Path
 
 from .cascade import Cascade
@@ -65,38 +66,32 @@ class Mismatch:
 def class_profile(cascade: Cascade, modulus: int, residue: int,
                   max_distinct: int | None = None) -> list[int]:
     """Distinct classify values attained on {b : b = residue (mod modulus)},
-    in decision-list order; stops after ``max_distinct`` values."""
+    in decision-list order; stops after ``max_distinct`` values.
+
+    classify(b) is the least claim on b's cell across the per-prime claim
+    tables, and the class pins each table to the cells congruent to the
+    residue mod gcd(modulus, tracked power), one cell per table chosen
+    freely.  A claim on a pinned cell is therefore attained exactly when
+    every other table has a pinned cell claimed no earlier: when it does
+    not exceed the least per-table maximum.
+    """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     ledger = cascade.ledger
-    free: dict[int, frozenset[int]] = {}
-    for p, tracked_mod in ledger.moduli.items():
-        v, rest = 0, modulus
-        while rest % p == 0:
-            rest //= p
-            v += 1
-        pin = p ** min(v, ledger.exponents[p])
-        if pin == 1:
-            free[p] = frozenset(range(tracked_mod))
-        else:
-            want = residue % pin
-            free[p] = frozenset(r for r in range(tracked_mod)
-                                if r % pin == want)
+    cells: dict[int, list[int]] = {}
+    for p, table in ledger.claims.items():
+        pin = gcd(modulus, ledger.moduli[p])
+        cells[p] = table[residue % pin::pin]
+    # an unclaimed cell is a table's largest possible value; finding one
+    # is much cheaper than max() over the long unpinned tables
+    bound = min(ledger.unclaimed if ledger.unclaimed in c else max(c)
+                for c in cells.values())
     values: list[int] = []
     for e in cascade.entries:
-        if e.prime is None:
-            values.append(e.q)   # universal: claims whatever remains
+        if e.q > bound or len(values) == max_distinct:
             break
-        claimed = free[e.prime] & e.event_lifted
-        if not claimed:
-            continue
-        values.append(e.q)
-        remaining = free[e.prime] - e.event_lifted
-        if not remaining:
-            break                # class fully claimed
-        free[e.prime] = remaining
-        if max_distinct is not None and len(values) >= max_distinct:
-            break
+        if e.prime is None or e.q in cells[e.prime]:
+            values.append(e.q)
     return values
 
 
@@ -116,10 +111,10 @@ class Table1:
     cells: dict[tuple[int, int], int | None]
 
 
-def gen_table1(cascade: Cascade) -> Table1:
+def gen_table1(cascade: Cascade, mod36: dict[int, int | None]) -> Table1:
     """Constant-or-undecided grid over the classes mod 1260 refining the
-    '?' classes of the mod-36 display."""
-    unknown36 = {r for r, v in gen_mod36(cascade).items() if v is None}
+    '?' classes of the mod-36 display ``mod36``."""
+    unknown36 = {r for r, v in mod36.items() if v is None}
     columns = tuple(r for r in range(180) if r % 36 in unknown36)
     offsets = tuple(180 * i for i in range(7))
     cells: dict[tuple[int, int], int | None] = {}
@@ -137,10 +132,9 @@ class Table2:
     cells: dict[tuple[int, int], int]    # (column, row) -> classify value
 
 
-def gen_table2(cascade: Cascade, num_rows: int = 41) -> Table2:
-    """classify over the still-undecided classes mod 1260, rows adding
-    successive multiples of 1260."""
-    t1 = gen_table1(cascade)
+def gen_table2(cascade: Cascade, t1: Table1, num_rows: int = 41) -> Table2:
+    """classify over the classes mod 1260 that ``t1`` leaves undecided,
+    rows adding successive multiples of 1260."""
     columns = tuple(sorted(c + o for (c, o), v in t1.cells.items()
                            if v is None))
     cells = {(col, i): cascade.classify(col + 1260 * i)
@@ -274,13 +268,13 @@ def run_regressions(cascade: Cascade, report: CensusReport | None = None,
     summary (t3) is only checked when a census report is supplied, since
     its first-base column needs the scan."""
     results: dict[str, list[Mismatch]] = {}
-    results["mod36"] = _diff_cells("mod36", load_golden_mod36(directory),
-                                  gen_mod36(cascade))
+    d36 = gen_mod36(cascade)
+    results["mod36"] = _diff_cells("mod36", load_golden_mod36(directory), d36)
     g1 = load_golden_t1(directory)
-    d1 = gen_table1(cascade)
+    d1 = gen_table1(cascade, d36)
     results["t1"] = _diff_cells("t1", g1.cells, d1.cells)
     g2 = load_golden_t2(directory)
-    d2 = gen_table2(cascade, g2.num_rows)
+    d2 = gen_table2(cascade, d1, g2.num_rows)
     results["t2"] = _diff_cells("t2", g2.cells, d2.cells)
     if report is not None:
         results["t3"] = [Mismatch("t3", (mm.q, mm.field), mm.expected, mm.actual)

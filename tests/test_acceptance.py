@@ -172,12 +172,12 @@ def test_acceptance_08_table_regressions(capsys, cascade):
     m36_ok = (m36 == load_golden_mod36()
               and sorted(r for r, v in m36.items() if v is None)
               == [2, 11, 14, 23])
-    t1 = gen_table1(cascade)
+    t1 = gen_table1(cascade, m36)
     g1 = load_golden_t1()
     numeric = sum(1 for v in t1.cells.values() if v is not None)
     t1_ok = (t1.cells == g1.cells and len(t1.cells) == 140
              and numeric == 108)
-    t2 = gen_table2(cascade)
+    t2 = gen_table2(cascade, t1)
     g2 = load_golden_t2()
     t2_ok = (t2.cells == g2.cells and len(t2.cells) == 1312
              and t2.cells[(2, 0)] == 341

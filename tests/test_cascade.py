@@ -11,6 +11,7 @@ from pretenders import (
     primary_pretender_oracle,
 )
 from pretenders.period import period_constant
+from pretenders.tables import load_golden_t3
 
 HAND_DENSITIES = {
     4: Fraction(1, 2),
@@ -102,12 +103,27 @@ def test_derive_k_m_surplus_is_preempted_only(cascade):
 
 
 def test_entry_169_claims_primitive_twelfth_roots(cascade):
-    e = cascade.entry_for(169)
     want = set()
     for exp in (1, 5):
         r = pow(19, exp, 169)
         want |= {r, 169 - r}
-    assert e.new_residues == want
+    claims = cascade.ledger.claims[13]
+    assert {r for r, v in enumerate(claims) if v == 169} == want
+
+
+def test_classify_is_least_claim(cascade):
+    # the walk never reads the claim tables, so this checks the build
+    ledger = cascade.ledger
+    first = {row.q: row.first_base for row in load_golden_t3()}
+    n = period_constant().value
+    rng = random.Random(33)
+    bases = [rng.randrange(-10**6, 10**6) for _ in range(300)]
+    bases += [first[q] + rng.randrange(10**6) * n for q in first]
+    bases += [rng.randrange(10**149, 10**150) for _ in range(300)]
+    for b in bases:
+        least = min(table[b % ledger.moduli[p]]
+                    for p, table in ledger.claims.items())
+        assert cascade.classify(b) == least, b
 
 
 def test_derive_k_m_unknown_q(cascade):

@@ -25,6 +25,14 @@ def test_classify_range_matches_scalar(cascade):
         assert vals[i] == cascade.classify(b)
 
 
+def test_classify_range_past_int64_and_negative(cascade):
+    for start, stop in ((2**63 - 10, 2**63 + 10), (-700, 300),
+                        (10**150 - 5, 10**150 + 5)):
+        vals = classify_range(cascade, start, stop)
+        assert vals.tolist() == [cascade.classify(b)
+                                 for b in range(start, stop)], start
+
+
 def test_truncated_scan_reports_missing(cascade):
     scan = first_bases(cascade, max_base=1000)
     assert scan.found[4] == 0

@@ -1,12 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from pretenders.cli import main
 
-ASSET_DIR = Path(__file__).resolve().parents[1] / "src" / "pretenders" / "data"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+ASSET_DIR = SRC_DIR / "pretenders" / "data"
 
 
 def run(capsys, *argv):
@@ -103,3 +107,31 @@ def test_usage_errors(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("period", "--samples", "-3"),
+    ("firstbases", "--max", "-5"),
+    ("firstbases", "--max", "0"),
+    ("verify", "--oracle-limit", "-1"),
+])
+def test_bad_numeric_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert argv[-1] in capsys.readouterr().err
+
+
+def test_zero_samples_still_skips(capsys):
+    code, out, _ = run(capsys, "period", "--samples", "0")
+    assert code == 0 and "periodicity" not in out
+
+
+@pytest.mark.parametrize("module", ["pretenders", "pretenders.cli"])
+def test_python_dash_m(module):
+    path = os.pathsep.join(filter(None, [str(SRC_DIR),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, "classify", "2"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "341\n"), proc.stderr

@@ -10,7 +10,6 @@ from pretenders.events import (
     PreemptionLedger,
     PrimePowerEvent,
     composite_event,
-    lift_residues,
     prime_power_event,
 )
 
@@ -67,14 +66,6 @@ def test_composite_event_components():
     assert [len(ev.residues) for ev in evs] == [11, 11]   # 1 + gcd(340, p-1)
 
 
-def test_lift_residues():
-    lifted = lift_residues(frozenset({0, 1}), 5, 25)
-    assert lifted == {0, 5, 10, 15, 20, 1, 6, 11, 16, 21}
-    assert lift_residues(frozenset({3}), 4, 4) == {3}
-    with pytest.raises(ValueError):
-        lift_residues(frozenset({0}), 4, 10)
-
-
 def test_ledger_tracked_exponents():
     ledger = PreemptionLedger(SIEVE)
     assert ledger.exponents[2] == 9
@@ -91,6 +82,7 @@ def test_ledger_tracked_exponents():
 def test_ledger_residual_before_any_ingest():
     ledger = PreemptionLedger(SIEVE)
     res = ledger.residual(4)
+    assert res.free == {2: 256}     # lifts of 0, 1 mod 4 among 2^9 cells
     assert res.density == Fraction(1, 2)
     assert not res.empty_primes
 
@@ -98,7 +90,11 @@ def test_ledger_residual_before_any_ingest():
 def test_ledger_ingest_then_preempt():
     ledger = PreemptionLedger(SIEVE)
     ledger.ingest(composite_event(4, SIEVE))
-    assert ledger.blocked_primes() == (2,)
+    # 4 claims every lift of 0, 1 mod 4 to mod 2^9, and nothing elsewhere
+    assert ledger.claims[2] == [4 if r % 4 < 2 else ledger.unclaimed
+                                for r in range(512)]
+    assert all(set(t) == {ledger.unclaimed}
+               for p, t in ledger.claims.items() if p != 2)
     # 6's component at 3 is untouched, at 2 everything = 0,1 mod 4 is gone
     res = ledger.residual(6)
     assert res.density == Fraction(1, 3)
@@ -119,7 +115,7 @@ def test_ledger_rejects_two_nontrivial_components():
 def test_ledger_ingest_of_all_trivial_is_noop():
     ledger = PreemptionLedger(SIEVE)
     ledger.ingest(composite_event(561, SIEVE))
-    assert not ledger.blocked_primes()
+    assert all(set(t) == {ledger.unclaimed} for t in ledger.claims.values())
 
 
 def test_blocked_never_fills_a_prime():
@@ -133,5 +129,5 @@ def test_blocked_never_fills_a_prime():
         nontrivial = [ev for ev in events if not ev.trivial]
         if len(nontrivial) <= 1:
             ledger.ingest(events)
-        for p in ledger.blocked_primes():
-            assert ledger.free(p), f"prime {p} exhausted after q={q}"
+        for p, table in ledger.claims.items():
+            assert ledger.unclaimed in table, f"prime {p} exhausted after q={q}"

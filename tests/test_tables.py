@@ -49,6 +49,19 @@ def test_class_profile_full_walk_reaches_universal(cascade):
     assert set(vals) == set(cascade.qs())
 
 
+def test_class_profile_holds_every_sampled_value(cascade):
+    # classify never reads the claim tables that class_profile restricts
+    rng = random.Random(52)
+    for _ in range(40):
+        modulus = 1260 * rng.randrange(1, 30)
+        residue = rng.randrange(modulus)
+        profile = class_profile(cascade, modulus, residue)
+        assert profile == sorted(profile)
+        seen = {cascade.classify(residue + modulus * rng.randrange(10**12))
+                for _ in range(300)}
+        assert seen <= set(profile), (modulus, residue)
+
+
 def test_mod36_display(cascade):
     values = gen_mod36(cascade)
     unknown = sorted(r for r, v in values.items() if v is None)
@@ -58,7 +71,7 @@ def test_mod36_display(cascade):
 
 
 def test_table1_shape_and_content(cascade):
-    t1 = gen_table1(cascade)
+    t1 = gen_table1(cascade, gen_mod36(cascade))
     assert len(t1.columns) == 20
     assert t1.offsets == (0, 180, 360, 540, 720, 900, 1080)
     numeric = [v for v in t1.cells.values() if v is not None]
@@ -73,7 +86,7 @@ def test_table1_shape_and_content(cascade):
 
 def test_table1_numeric_cells_really_constant(cascade):
     # sampled backstop for the structural constancy argument
-    t1 = gen_table1(cascade)
+    t1 = gen_table1(cascade, gen_mod36(cascade))
     numeric = [(c + o, v) for (c, o), v in t1.cells.items() if v is not None]
     rng = random.Random(51)
     picks = rng.sample(numeric, 24)
@@ -83,7 +96,7 @@ def test_table1_numeric_cells_really_constant(cascade):
 
 
 def test_table2_matches_golden_and_bounds(cascade):
-    t2 = gen_table2(cascade)
+    t2 = gen_table2(cascade, gen_table1(cascade, gen_mod36(cascade)))
     golden = load_golden_t2()
     assert t2.columns == golden.columns
     assert t2.num_rows == 41
@@ -101,9 +114,9 @@ def test_table2_matches_golden_and_bounds(cascade):
 
 
 def test_table2_columns_refine_table1_unknowns(cascade):
-    t1 = gen_table1(cascade)
+    t1 = gen_table1(cascade, gen_mod36(cascade))
     unknown = sorted(c + o for (c, o), v in t1.cells.items() if v is None)
-    assert tuple(unknown) == gen_table2(cascade).columns
+    assert tuple(unknown) == gen_table2(cascade, t1).columns
     assert len(unknown) == 32
     # and their mod 36 reductions are the four undecided classes
     assert {u % 36 for u in unknown} == {2, 11, 14, 23}
@@ -171,20 +184,25 @@ def test_run_regressions_catches_tampering(cascade, census_report, asset_copy):
 
 
 def test_format_round_trip_through_loaders(cascade, census_report, tmp_path):
-    (tmp_path / "mod36.csv").write_text(format_mod36(gen_mod36(cascade), "csv"))
-    (tmp_path / "t1.csv").write_text(format_table1(gen_table1(cascade), "csv"))
-    (tmp_path / "t2.csv").write_text(format_table2(gen_table2(cascade), "csv"))
+    m36 = gen_mod36(cascade)
+    t1 = gen_table1(cascade, m36)
+    (tmp_path / "mod36.csv").write_text(format_mod36(m36, "csv"))
+    (tmp_path / "t1.csv").write_text(format_table1(t1, "csv"))
+    t2 = gen_table2(cascade, t1)
+    (tmp_path / "t2.csv").write_text(format_table2(t2, "csv"))
     assert load_golden_mod36(tmp_path) == load_golden_mod36()
     assert load_golden_t1(tmp_path).cells == load_golden_t1().cells
     assert load_golden_t2(tmp_path).cells == load_golden_t2().cells
 
 
 def test_format_txt_smoke(cascade, census_report):
-    txt = format_mod36(gen_mod36(cascade))
+    m36 = gen_mod36(cascade)
+    txt = format_mod36(m36)
     assert "?" in txt and "b mod 36" in txt
-    txt = format_table1(gen_table1(cascade))
+    t1 = gen_table1(cascade, m36)
+    txt = format_table1(t1)
     assert "+1080" in txt
-    txt = format_table2(gen_table2(cascade))
+    txt = format_table2(gen_table2(cascade, t1))
     assert "341" in txt
     txt = format_t3(census_report)
     assert "10009487" in txt and "25437.66" in txt
