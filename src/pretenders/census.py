@@ -1,19 +1,21 @@
 """Counting over the decision list: densities, first bases, extremes.
 
 The scan for first bases classifies a contiguous base range in chunks.
-Each chunk is resolved entry by entry with numpy table lookups on b mod m,
-narrowing to the still-unresolved indices as entries claim their bases;
-chunks merge by per-entry minima, so any partition of the range gives the
-same answer.  Density checks recount everything from raw congruences so
-they do not lean on the event machinery they are checking.
+A chunk is a byte per base holding the index of its entry: the entries
+are laid down from last to first, each residue of an entry's event by one
+strided slice assignment, so the earliest entry that matches a base is the
+one left in its slot.  Two ``bytes.translate`` tables then turn indices
+into q values.  Chunks merge by per-entry minima, so any partition of the
+range gives the same answer.  Density checks recount everything from raw
+congruences so they do not lean on the event machinery they are checking.
 """
 
+import sys
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-import numpy as np
 
 from .arith import render_decimal
 from .cascade import Cascade
@@ -24,7 +26,6 @@ __all__ = [
     "Extremes",
     "FirstBaseScan",
     "classify_range",
-    "densities",
     "density_by_residue_count",
     "entry_period_lcm",
     "extremes",
@@ -35,31 +36,39 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BASE = 11_000_000   # covers the latest first appearance, 10009487
+SCAN_CHUNK = 1_000_000          # bases per classify_range call in the scan
 
 
-def densities(cascade: Cascade) -> dict[int, Fraction]:
-    return {e.q: e.density for e in cascade.entries}
+def classify_range(cascade: Cascade, start: int, stop: int) -> array:
+    """Primary pretenders of b in [start, stop), as an ``array('H')``.
 
-
-def classify_range(cascade: Cascade, start: int, stop: int) -> np.ndarray:
-    """Vector of primary pretenders for b in [start, stop).
-
-    Only offsets from ``start`` enter the arrays; ``start`` itself is
+    Only offsets from ``start`` index the buffer; ``start`` itself is
     reduced per entry modulus as a Python int, so any start works,
     however large or negative.
     """
-    out = np.zeros(stop - start, dtype=np.int32)
-    open_idx = np.arange(stop - start, dtype=np.int64)
-    for e in cascade.entries:
-        if open_idx.size == 0:
-            break
+    if stop < start:
+        raise ValueError(f"classify_range: stop {stop} is below start {start}")
+    entries = cascade.entries
+    # the universal entry (modulus 1) is laid first and fills every slot
+    assert entries[-1].root_modulus == 1, "the universal entry must come last"
+    n = stop - start
+    idx = bytearray(n)
+    for j in range(len(entries) - 1, -1, -1):
+        e = entries[j]
         m = e.root_modulus
-        hit = np.zeros(m, dtype=bool)
-        hit[list(e.event)] = True
-        matched = hit[(open_idx + start % m) % m]
-        out[open_idx[matched]] = e.q
-        open_idx = open_idx[~matched]
-    assert open_idx.size == 0, "universal entry must resolve every base"
+        for r in e.event:
+            i = (r - start) % m
+            idx[i::m] = bytes([j]) * len(range(i, n, m))
+    qs = [e.q for e in entries]
+    pad = bytes(256 - len(qs))
+    low = bytes(q & 0xFF for q in qs) + pad
+    high = bytes(q >> 8 for q in qs) + pad
+    buf = bytearray(2 * n)
+    buf[0::2] = idx.translate(low)
+    buf[1::2] = idx.translate(high)
+    out = array("H", buf)
+    if sys.byteorder == "big":
+        out.byteswap()
     return out
 
 
@@ -71,19 +80,22 @@ class FirstBaseScan:
     seconds: float
 
 
-def first_bases(cascade: Cascade, max_base: int = DEFAULT_MAX_BASE,
-                chunk_size: int = 1_000_000) -> FirstBaseScan:
+def first_bases(cascade: Cascade,
+                max_base: int = DEFAULT_MAX_BASE) -> FirstBaseScan:
     """Least base for every entry, scanning [0, max_base) in chunks."""
     t0 = time.perf_counter()
     found: dict[int, int] = {}
     want = set(cascade.qs())
-    for lo in range(0, max_base, chunk_size):
-        hi = min(lo + chunk_size, max_base)
-        vals = classify_range(cascade, lo, hi)
-        for q in np.unique(vals):
-            q = int(q)
-            if q in want:
-                found[q] = lo + int(np.argmax(vals == q))
+    for lo in range(0, max_base, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, max_base)
+        raw = classify_range(cascade, lo, hi).tobytes()
+        for q in list(want):
+            key = array("H", [q]).tobytes()
+            at = raw.find(key)
+            while at > 0 and at % 2:   # straddles two values: search on
+                at = raw.find(key, at + 1)
+            if at >= 0:
+                found[q] = lo + at // 2
                 want.discard(q)
         if not want:
             break
@@ -95,8 +107,6 @@ def first_bases(cascade: Cascade, max_base: int = DEFAULT_MAX_BASE,
 @dataclass
 class CensusReport:
     cascade: Cascade
-    density: dict[int, Fraction]
-    rarity_display: dict[int, str]
     first_base: dict[int, int]
     scan: FirstBaseScan
 
@@ -106,8 +116,6 @@ class CensusReport:
         scan = first_bases(cascade, max_base)
         return cls(
             cascade=cascade,
-            density=densities(cascade),
-            rarity_display={e.q: e.rarity_display for e in cascade.entries},
             first_base=scan.found,
             scan=scan,
         )

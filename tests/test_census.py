@@ -1,5 +1,8 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
 
 from pretenders.cascade import build_cascade
 from pretenders.census import (
@@ -27,10 +30,15 @@ def test_classify_range_matches_scalar(cascade):
 
 def test_classify_range_past_int64_and_negative(cascade):
     for start, stop in ((2**63 - 10, 2**63 + 10), (-700, 300),
-                        (10**150 - 5, 10**150 + 5)):
+                        (10**150 - 5, 10**150 + 5), (77, 77)):
         vals = classify_range(cascade, start, stop)
         assert vals.tolist() == [cascade.classify(b)
                                  for b in range(start, stop)], start
+
+
+def test_classify_range_rejects_a_reversed_window(cascade):
+    with pytest.raises(ValueError, match="stop 3 is below start 5"):
+        classify_range(cascade, 5, 3)
 
 
 def test_truncated_scan_reports_missing(cascade):
@@ -57,11 +65,25 @@ def test_first_bases_against_golden(census_report):
     assert census_report.first_base == golden
 
 
-def test_scan_chunk_size_does_not_change_results(cascade):
-    a = first_bases(cascade, max_base=60_000, chunk_size=7_919)
-    b = first_bases(cascade, max_base=60_000, chunk_size=60_000)
-    assert a.found == b.found
-    assert a.missing == b.missing
+def test_scan_equals_first_occurrences_of_classify(cascade):
+    first: dict[int, int] = {}
+    for b in range(60_000):
+        first.setdefault(cascade.classify(b), b)
+    scan = first_bases(cascade, max_base=60_000)
+    assert scan.found == first
+    assert set(scan.missing) == set(cascade.qs()) - set(first)
+
+
+def test_scan_skips_a_match_straddling_two_values():
+    # bases 0, 1, 2, ... classify as 300, 514, 513, 513, ...: the bytes of
+    # 513 (01 02) first occur across 300's high byte and 514's low byte
+    entry = SimpleNamespace
+    fake = SimpleNamespace(entries=(entry(q=300, root_modulus=4, event={0}),
+                                    entry(q=514, root_modulus=4, event={1}),
+                                    entry(q=513, root_modulus=1, event={0})))
+    fake.qs = lambda: [e.q for e in fake.entries]
+    assert classify_range(fake, 0, 4).tolist() == [300, 514, 513, 513]
+    assert first_bases(fake, max_base=4).found == {300: 0, 513: 2, 514: 1}
 
 
 def test_extremes(census_report):

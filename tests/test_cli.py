@@ -13,6 +13,12 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 ASSET_DIR = SRC_DIR / "pretenders" / "data"
 
 
+def child_env():
+    path = os.pathsep.join(filter(None, [str(SRC_DIR),
+                                         os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -129,9 +135,21 @@ def test_zero_samples_still_skips(capsys):
 
 @pytest.mark.parametrize("module", ["pretenders", "pretenders.cli"])
 def test_python_dash_m(module):
-    path = os.pathsep.join(filter(None, [str(SRC_DIR),
-                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", module, "classify", "2"],
                           capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=child_env())
     assert (proc.returncode, proc.stdout) == (0, "341\n"), proc.stderr
+
+
+def test_runs_without_numpy():
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from pretenders.cli import main\n"
+              "assert main(['firstbases', '--max', '1000']) == 1\n"
+              "assert main(['classify', '2']) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("q,k,m,first_base")
+    assert proc.stdout.endswith("\n341\n")

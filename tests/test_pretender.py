@@ -1,8 +1,11 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from pretenders.pretender import (
+    PSI_13,
     UNIVERSAL_PRETENDER,
     NotCompositeError,
     is_fermat_pseudoprime,
@@ -18,6 +21,39 @@ def test_composite_guard():
             is_prime_pretender(bad, 2)
     # large composite accepted without a full sieve
     assert is_prime_pretender(161038, 2) in (True, False)
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("q, expected", [
+    (1000000007 * 1000000009, False),
+    # psi_13 is a strong pseudoprime to all 13 bases: only the Lucas
+    # step of BPSW shows that it is composite
+    (PSI_13, True),
+    (318665857834031151167461, True),   # psi_12, caught by base 41
+    (2**89 - 1, NotCompositeError),     # a Mersenne prime above psi_13
+    # a prime whose Selfridge D is -15 and with n + 1 = 4 d, d odd: the
+    # search for D and the Lucas ladder over the bits of d both run
+    (10**30 + 211, NotCompositeError),
+])
+def test_composite_guard_on_large_moduli(q, expected):
+    with time_limit(5):
+        if expected is NotCompositeError:
+            with pytest.raises(NotCompositeError):
+                is_prime_pretender(q, 2)
+        else:
+            assert is_prime_pretender(q, 2) is expected
 
 
 def test_self_power_congruence_spots():
