@@ -16,8 +16,6 @@ __all__ = [
     "PrimePower",
     "Sieve",
     "crt",
-    "mod_pow",
-    "nth_prime",
     "prime_count_upto",
     "reciprocal",
     "render_decimal",
@@ -78,12 +76,6 @@ class Sieve:
             out.append(PrimePower(p, e))
         return tuple(out)
 
-    def nth_prime(self, k: int) -> int:
-        """The k-th prime, 1-indexed: nth_prime(1) == 2."""
-        if k < 1 or k > len(self.primes):
-            raise ValueError(f"prime index {k} outside sieve range")
-        return self.primes[k - 1]
-
     def prime_count_upto(self, x: int) -> int:
         if x > self.limit:
             raise ValueError(f"{x} beyond sieve limit {self.limit}")
@@ -102,30 +94,10 @@ def sieve_and_factor(limit: int) -> Sieve:
     return Sieve(limit)
 
 
-def nth_prime(k: int) -> int:
-    if k < 1:
-        raise ValueError("prime indices start at 1")
-    bound = 600
-    while True:
-        sieve = sieve_and_factor(bound)
-        if len(sieve.primes) >= k:
-            return sieve.nth_prime(k)
-        bound *= 2
-
-
 def prime_count_upto(x: int) -> int:
     if x < 2:
         return 0
     return sieve_and_factor(max(x, 4)).prime_count_upto(x)
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by binary exponentiation (O(log exp) products)."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    return pow(base % modulus, exp, modulus)
 
 
 def reciprocal(x) -> Fraction:

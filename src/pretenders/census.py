@@ -6,8 +6,16 @@ are laid down from last to first, each residue of an entry's event by one
 strided slice assignment, so the earliest entry that matches a base is the
 one left in its slot.  Two ``bytes.translate`` tables then turn indices
 into q values.  Chunks merge by per-entry minima, so any partition of the
-range gives the same answer.  Density checks recount everything from raw
-congruences so they do not lean on the event machinery they are checking.
+range gives the same answer.
+
+The density and skip checks recount free cells one prime at a time, from
+raw congruences, so they do not lean on the event machinery or the claim
+tables they are checking.  For a prime p with tracked power P they keep a
+byte per cell mod P, zero the cells every earlier entry at p claims (one
+strided slice per root of its congruence), then count the cells left
+that satisfy q's own congruence.  They read only the earlier entries' q,
+prime and modulus, the tracked powers and the sieve's factorizations;
+the roots come from pow() and are cached per (exponent, modulus) pair.
 """
 
 import sys
@@ -15,6 +23,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .arith import render_decimal
@@ -209,51 +218,55 @@ def oracle_period_census(limit: int) -> dict[int, int]:
     return counts
 
 
+@cache
+def _self_power_roots(w: int, m: int) -> tuple[int, ...]:
+    """Residues r mod m with r**w = r (mod m), by plain enumeration."""
+    return tuple(r for r in range(m) if pow(r, w, m) == r)
+
+
+def _free_cells(cascade: Cascade, q: int, p: int) -> int:
+    """Cells mod the tracked power of p that satisfy q's own component
+    congruence (any cell when p does not divide q) and that no entry
+    before q constraining p claims."""
+    tracked = cascade.ledger.moduli[p]
+    free = bytearray(b"\x01") * tracked
+    for e in cascade.entries:
+        if e.q < q and e.prime == p:
+            m = e.root_modulus
+            zeros = bytes(tracked // m)
+            for s in _self_power_roots(e.q, m):
+                free[s::m] = zeros
+    cm = next((pp.modulus for pp in cascade.sieve.factorization(q)
+               if pp.p == p), None)
+    if cm is None:
+        return free.count(1)
+    return sum(free[s::cm].count(1) for s in _self_power_roots(q, cm))
+
+
 def density_by_residue_count(cascade: Cascade, q: int) -> Fraction:
     """Recount an entry's density from raw congruences.
 
-    For each prime with a tracked power P: enumerate all residues r mod P,
-    keep those satisfying q's component congruence that no earlier entry
-    claims, and take count/P.  The product over primes is the density.
-    Everything is recomputed with pow(); the only cascade inputs are the
-    earlier winners' q values and constrained moduli.
+    For each prime p that q or an earlier entry constrains, mark the cells
+    mod the tracked power P of p that an earlier entry's congruence
+    claims, count the unmarked cells satisfying q's own congruence, and
+    take count/P.  The product over primes is the density.  Everything is
+    recomputed with pow(); the only cascade inputs are the earlier
+    winners' q values and constrained moduli.
     """
-    entry = cascade.entry_for(q)
-    earlier = [(e.q, e.prime, e.root_modulus)
-               for e in cascade.entries if e.q < q and e.prime is not None]
-    q_components = {pp.p: pp.modulus for pp in cascade.sieve.factorization(q)}
-    primes = set(q_components) | {p for (_, p, _) in earlier}
+    cascade.entry_for(q)   # KeyError unless q is an entry
+    primes = ({pp.p for pp in cascade.sieve.factorization(q)}
+              | {e.prime for e in cascade.entries
+                 if e.q < q and e.prime is not None})
     density = Fraction(1)
     for p in sorted(primes):
-        tracked = cascade.ledger.moduli[p]
-        claimers = [(w, m) for (w, wp, m) in earlier if wp == p]
-        count = 0
-        for r in range(tracked):
-            cm = q_components.get(p)
-            if cm is not None and pow(r % cm, q, cm) != r % cm:
-                continue
-            if any(pow(r % m, w, m) == r % m for (w, m) in claimers):
-                continue
-            count += 1
-        density *= Fraction(count, tracked)
+        density *= Fraction(_free_cells(cascade, q, p),
+                            cascade.ledger.moduli[p])
     return density
 
 
 def verify_skipped(cascade: Cascade, q: int) -> bool:
     """Confirm from raw congruences that a skipped composite truly has an
-    empty residual: some prime's component event is fully preempted."""
+    empty residual: at every prime it names, no cell is left free."""
     skip = next(s for s in cascade.skipped if s.q == q)
-    earlier = [(e.q, e.prime, e.root_modulus)
-               for e in cascade.entries if e.q < q and e.prime is not None]
-    for p in skip.empty_primes:
-        tracked = cascade.ledger.moduli[p]
-        cm = next((pp.modulus for pp in cascade.sieve.factorization(q)
-                   if pp.p == p), None)
-        claimers = [(w, m) for (w, wp, m) in earlier if wp == p]
-        for r in range(tracked):
-            if cm is not None and pow(r % cm, q, cm) != r % cm:
-                continue
-            if any(pow(r % m, w, m) == r % m for (w, m) in claimers):
-                continue
-            return False  # found a free residue: the skip was wrong
-    return bool(skip.empty_primes)
+    return bool(skip.empty_primes) and all(
+        _free_cells(cascade, q, p) == 0 for p in skip.empty_primes)

@@ -157,6 +157,23 @@ def _cmd_verify(args) -> int:
     return 0 if summary.ok else 1
 
 
+def _base(text: str) -> int:
+    """An integer of any length: the interpreter's limit on digits in
+    int(str), where it has one, is lifted for this one conversion."""
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+
+
 def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -179,11 +196,11 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("classify", help="decision-list value for one base")
-    p.add_argument("base", type=int)
+    p.add_argument("base", type=_base)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("oracle", help="brute-force value for one base")
-    p.add_argument("base", type=int)
+    p.add_argument("base", type=_base)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("cascade", help="dump the 132-entry decision list")

@@ -52,9 +52,6 @@ class PrimePowerEvent:
         """True when every residue satisfies the component congruence."""
         return len(self.residues) == self.modulus
 
-    def __contains__(self, b: int) -> bool:
-        return b % self.modulus in self.residues
-
 
 def prime_power_event(q: int, pp: PrimePower) -> PrimePowerEvent:
     """Enumerate {r mod p**e : r**q = r (mod p**e)} for p**e maximal in q."""

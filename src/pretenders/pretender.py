@@ -21,7 +21,6 @@ __all__ = [
     "is_prime_pretender",
     "is_fermat_pseudoprime",
     "primary_pretender_oracle",
-    "pretender_profile",
 ]
 
 # Smallest composite that pretends to every base (verified in the tests
@@ -152,17 +151,3 @@ def primary_pretender_oracle(b: int) -> int:
             return q
     raise AssertionError("unreachable: 561 pretends to every base")
 
-
-def pretender_profile(b: int, limit: int = UNIVERSAL_PRETENDER) -> list[int]:
-    """All composite q <= limit with b**q = b (mod q), in increasing order."""
-    if limit < 4:
-        return []
-    sieve = _sieve() if limit <= UNIVERSAL_PRETENDER else sieve_and_factor(limit)
-    out = []
-    for q in sieve.composites:
-        if q > limit:
-            break
-        r = b % q
-        if pow(r, q, q) == r:
-            out.append(q)
-    return out

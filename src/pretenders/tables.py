@@ -165,26 +165,32 @@ def _parse_csv(name: str, directory, header: str) -> list[list[str]]:
     return rows
 
 
-def _cell(token: str, name: str) -> int | None:
-    if token == "?":
-        return None
+def _int(token: str, name: str, row: list[str]) -> int:
     try:
         return int(token)
     except ValueError as exc:
-        raise GoldenFormatError(f"{name}: bad cell {token!r}") from exc
+        raise GoldenFormatError(
+            f"{name}: bad integer {token!r} in row {','.join(row)!r}") from exc
+
+
+def _cell(token: str, name: str, row: list[str]) -> int | None:
+    return None if token == "?" else _int(token, name, row)
 
 
 def load_golden_mod36(directory=None) -> dict[int, int | None]:
-    rows = _parse_csv("mod36.csv", directory, "residue,value")
-    out = {int(r): _cell(v, "mod36.csv") for r, v in rows}
+    name = "mod36.csv"
+    rows = _parse_csv(name, directory, "residue,value")
+    out = {_int(row[0], name, row): _cell(row[1], name, row) for row in rows}
     if sorted(out) != list(range(36)):
         raise GoldenFormatError("mod36.csv: expected residues 0..35")
     return out
 
 
 def load_golden_t1(directory=None) -> Table1:
-    rows = _parse_csv("t1.csv", directory, "residue,offset,value")
-    cells = {(int(r), int(o)): _cell(v, "t1.csv") for r, o, v in rows}
+    name = "t1.csv"
+    rows = _parse_csv(name, directory, "residue,offset,value")
+    cells = {(_int(row[0], name, row), _int(row[1], name, row)):
+             _cell(row[2], name, row) for row in rows}
     columns = tuple(sorted({r for r, _ in cells}))
     offsets = tuple(sorted({o for _, o in cells}))
     if len(cells) != len(columns) * len(offsets):
@@ -193,13 +199,14 @@ def load_golden_t1(directory=None) -> Table1:
 
 
 def load_golden_t2(directory=None) -> Table2:
-    rows = _parse_csv("t2.csv", directory, "class,row,value")
+    name = "t2.csv"
+    rows = _parse_csv(name, directory, "class,row,value")
     cells = {}
-    for c, i, v in rows:
-        val = _cell(v, "t2.csv")
+    for row in rows:
+        val = _cell(row[2], name, row)
         if val is None:
-            raise GoldenFormatError("t2.csv: unexpected '?'")
-        cells[(int(c), int(i))] = val
+            raise GoldenFormatError(f"{name}: unexpected '?'")
+        cells[(_int(row[0], name, row), _int(row[1], name, row))] = val
     columns = tuple(sorted({c for c, _ in cells}))
     num_rows = 1 + max(i for _, i in cells)
     if len(cells) != len(columns) * num_rows:
@@ -219,14 +226,17 @@ class GoldenEntry:
 def load_golden_t3(directory=None) -> list[GoldenEntry]:
     """Per-entry summary rows.  The rarity column is the exact rarity
     truncated (not rounded) to two decimals, kept as its text."""
-    rows = _parse_csv("t3.csv", directory, "q,k,m,first_base,rarity")
+    name = "t3.csv"
+    rows = _parse_csv(name, directory, "q,k,m,first_base,rarity")
     out = []
-    for q, k, m, first, rarity in rows:
+    for row in rows:
+        rarity = row[4]
         try:
             Fraction(rarity)
         except ValueError as exc:
-            raise GoldenFormatError(f"t3.csv: bad rarity {rarity!r}") from exc
-        out.append(GoldenEntry(int(q), int(k), int(m), int(first), rarity))
+            raise GoldenFormatError(f"{name}: bad rarity {rarity!r}") from exc
+        q, k, m, first = (_int(token, name, row) for token in row[:4])
+        out.append(GoldenEntry(q, k, m, first, rarity))
     return out
 
 

@@ -141,16 +141,17 @@ def test_acceptance_05_rarities(capsys, cascade, census_report):
 
 def test_acceptance_06_density_conservation(capsys, cascade):
     total = sum(e.density for e in cascade.entries)
-    small = [e.q for e in cascade.entries if e.q <= 49]
-    recount_ok = all(density_by_residue_count(cascade, q)
-                     == cascade.entry_for(q).density for q in small)
+    recounts = [density_by_residue_count(cascade, e.q)
+                for e in cascade.entries]
+    recount_ok = (recounts == [e.density for e in cascade.entries]
+                  and sum(recounts) == 1)
     window = entry_period_lcm(cascade, 33)
     counts = oracle_period_census(window)
     census_ok = all(Fraction(counts[e.q], window) == e.density
                     for e in cascade.entries if e.q <= 33)
     ok = total == 1 and recount_ok and census_ok
     verdict(capsys, 6, "densities sum to 1 exactly and survive recounting",
-            ok, f"sum={total}, {len(small)} entries recounted per prime, "
+            ok, f"sum={total}, {len(recounts)} entries recounted per prime, "
                 f"direct census over {window} through q=33")
 
 

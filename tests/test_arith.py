@@ -7,8 +7,6 @@ from pretenders.arith import (
     PrimePower,
     Sieve,
     crt,
-    mod_pow,
-    nth_prime,
     prime_count_upto,
     reciprocal,
     render_decimal,
@@ -29,6 +27,12 @@ def test_sieve_primes_and_composites():
     assert s.composites[:8] == [4, 6, 8, 9, 10, 12, 14, 15]
     assert s.is_prime(47) and not s.is_prime(49)
     assert not s.is_prime(1) and not s.is_prime(0)
+    assert prime_count_upto(277) == 59
+    assert prime_count_upto(23) == 9
+    assert prime_count_upto(1) == 0
+    assert s.prime_count_upto(47) == len(s.primes) == 15
+    full = sieve_and_factor(561)
+    assert full.prime_count_upto(561) == len(full.primes)
 
 
 def test_sieve_factorization_reassembles():
@@ -45,33 +49,6 @@ def test_sieve_factorization_reassembles():
         # exponents positive, primes strictly increasing
         assert all(pp.e >= 1 for pp in facs)
         assert [pp.p for pp in facs] == sorted({pp.p for pp in facs})
-
-
-def test_nth_prime_and_counting():
-    assert nth_prime(1) == 2
-    assert nth_prime(9) == 23
-    assert nth_prime(59) == 277
-    assert prime_count_upto(277) == 59
-    assert prime_count_upto(23) == 9
-    assert prime_count_upto(1) == 0
-    s = sieve_and_factor(561)
-    assert s.prime_count_upto(561) == len(s.primes)
-
-
-def test_mod_pow_matches_builtin():
-    rng = random.Random(202)
-    for _ in range(500):
-        b = rng.randrange(-10**6, 10**6)
-        e = rng.randrange(0, 10**4)
-        m = rng.randrange(1, 10**6)
-        assert mod_pow(b, e, m) == pow(b, e, m)
-
-
-def test_mod_pow_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
 
 
 def test_reciprocal():

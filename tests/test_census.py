@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from pretenders.cascade import build_cascade
+from pretenders import census, events
+from pretenders.cascade import Cascade, SkippedComposite, build_cascade
 from pretenders.census import (
     classify_range,
     density_by_residue_count,
@@ -112,9 +113,34 @@ def test_rarity_regression_flags_out_of_tolerance(census_report):
 
 
 def test_density_by_residue_count_small_entries(cascade):
-    for q in (4, 6, 9, 10, 14, 15, 21, 22, 25, 26, 33, 34, 38, 39, 46, 49):
-        e = cascade.entry_for(q)
-        assert density_by_residue_count(cascade, q) == e.density, q
+    # kept under its old id: it now recounts every entry, not only small ones
+    recounts = [density_by_residue_count(cascade, e.q)
+                for e in cascade.entries]
+    for e, d in zip(cascade.entries, recounts):
+        assert d == e.density, e.q
+    assert sum(recounts) == 1
+
+
+def test_recount_reads_no_ledger_or_events(cascade, monkeypatch):
+    # a fresh cascade with every claim table wiped: the recounts must not
+    # notice, since they derive every cell from raw congruences
+    scrambled = build_cascade()
+    ledger = scrambled.ledger
+    for table in ledger.claims.values():
+        table[:] = [ledger.unclaimed] * len(table)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recount called into pretenders.events")
+
+    assert not any(getattr(v, "__module__", None) == events.__name__
+                   for v in vars(census).values())
+    monkeypatch.setattr(events, "composite_event", forbidden)
+    monkeypatch.setattr(events, "prime_power_event", forbidden)
+    for e in cascade.entries:
+        assert density_by_residue_count(scrambled, e.q) == e.density, e.q
+    assert len(scrambled.skipped) == 326
+    for s in scrambled.skipped:
+        assert verify_skipped(scrambled, s.q), s.q
 
 
 def test_oracle_period_census_prefix(cascade):
@@ -132,6 +158,14 @@ def test_verify_skipped(cascade):
     assert verify_skipped(cascade, 8)
     assert verify_skipped(cascade, 12)
     assert verify_skipped(cascade, 560)
+
+
+def test_verify_skipped_rejects_a_composite_with_free_cells(cascade):
+    # 9 is an entry, so its component at 3 keeps free cells
+    c = cascade
+    bogus = Cascade(c.entries, c.ledger,
+                    c.skipped + (SkippedComposite(9, (3,)),), c.sieve)
+    assert not verify_skipped(bogus, 9)
 
 
 def test_census_csv_shape(census_report):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pretenders.cascade import build_cascade
 from pretenders.cli import main
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -33,6 +34,17 @@ def test_classify_and_oracle(capsys):
     big = str(10**50 + 3)
     code, out, _ = run(capsys, "classify", big)
     assert code == 0 and int(out) <= 561
+
+
+@pytest.mark.parametrize("command", ["classify", "oracle"])
+def test_bases_past_the_digit_limit(capsys, command):
+    # 5001 digits, past the 4300 that int(str) accepts by default
+    expected = build_cascade().classify(10**5000 + 2)
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = digit_limit()
+    code, out, _ = run(capsys, command, "1" + "0" * 4999 + "2")
+    assert (code, out) == (0, f"{expected}\n")
+    assert digit_limit() == before   # the limit is restored
 
 
 def test_cascade_formats(capsys):
@@ -102,6 +114,21 @@ def test_verify_flags_mismatch(capsys, tmp_path):
     assert "mod36: 1 mismatches" in out
 
 
+@pytest.mark.parametrize("name, bad_row", [("t3.csv", "x4,1,4,0,2"),
+                                           ("mod36.csv", "a,4")])
+def test_verify_names_a_golden_file_with_a_bad_key(capsys, tmp_path, name,
+                                                   bad_row):
+    for asset in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):
+        shutil.copy(ASSET_DIR / asset, tmp_path / asset)
+    lines = (tmp_path / name).read_text().split("\n")
+    lines[1] = bad_row
+    (tmp_path / name).write_text("\n".join(lines))
+    code, _, err = run(capsys, "verify", "--golden", str(tmp_path),
+                       "--oracle-limit", "0")
+    assert code == 2
+    assert err.startswith("error: ") and name in err and bad_row in err
+
+
 def test_verify_missing_golden_dir(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--golden", str(tmp_path / "nope"),
                        "--oracle-limit", "0")
@@ -120,6 +147,7 @@ def test_usage_errors(capsys):
     ("firstbases", "--max", "-5"),
     ("firstbases", "--max", "0"),
     ("verify", "--oracle-limit", "-1"),
+    ("classify", "12x"),
 ])
 def test_bad_numeric_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,6 @@ from pretenders.pretender import (
     NotCompositeError,
     is_fermat_pseudoprime,
     is_prime_pretender,
-    pretender_profile,
     primary_pretender_oracle,
 )
 
@@ -115,13 +114,3 @@ def test_oracle_never_exceeds_universal_pretender():
     for _ in range(40):
         b = rng.randrange(0, 10**30)
         assert primary_pretender_oracle(b) <= UNIVERSAL_PRETENDER
-
-
-def test_pretender_profile():
-    assert pretender_profile(2) == [341, 561]
-    # base 0 is claimed by every composite
-    profile0 = pretender_profile(0)
-    assert profile0[:5] == [4, 6, 8, 9, 10]
-    assert profile0[-1] == 561
-    # every base has at least the universal pretender
-    assert all(561 in pretender_profile(b) for b in (5, 17, 100, 561))

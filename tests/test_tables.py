@@ -134,6 +134,20 @@ def test_golden_loader_rejects_bad_cell(asset_copy):
         load_golden_t2(asset_copy)
 
 
+@pytest.mark.parametrize("name, loader, bad_row", [
+    ("t3.csv", load_golden_t3, "x4,1,4,0,2"),
+    ("mod36.csv", load_golden_mod36, "a,4"),
+])
+def test_golden_loader_names_file_and_row_of_a_bad_key(asset_copy, name,
+                                                       loader, bad_row):
+    lines = (asset_copy / name).read_text().split("\n")
+    lines[1] = bad_row
+    (asset_copy / name).write_text("\n".join(lines))
+    with pytest.raises(GoldenFormatError) as exc:
+        loader(asset_copy)
+    assert name in str(exc.value) and bad_row in str(exc.value)
+
+
 def test_golden_loader_rejects_ragged_grid(asset_copy):
     text = (asset_copy / "t1.csv").read_text().strip().split("\n")
     (asset_copy / "t1.csv").write_text("\n".join(text[:-1]) + "\n")
