@@ -16,8 +16,6 @@ __all__ = [
     "PrimePower",
     "Sieve",
     "crt",
-    "prime_count_upto",
-    "reciprocal",
     "render_decimal",
     "sieve_and_factor",
 ]
@@ -76,35 +74,10 @@ class Sieve:
             out.append(PrimePower(p, e))
         return tuple(out)
 
-    def prime_count_upto(self, x: int) -> int:
-        if x > self.limit:
-            raise ValueError(f"{x} beyond sieve limit {self.limit}")
-        lo, hi = 0, len(self.primes)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.primes[mid] <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
 
 @lru_cache(maxsize=None)
 def sieve_and_factor(limit: int) -> Sieve:
     return Sieve(limit)
-
-
-def prime_count_upto(x: int) -> int:
-    if x < 2:
-        return 0
-    return sieve_and_factor(max(x, 4)).prime_count_upto(x)
-
-
-def reciprocal(x) -> Fraction:
-    f = Fraction(x)
-    if f == 0:
-        raise ZeroDivisionError("reciprocal of zero")
-    return 1 / f
 
 
 def render_decimal(x: Fraction, places: int = 2) -> str:

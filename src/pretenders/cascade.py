@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import Sieve, reciprocal, render_decimal, sieve_and_factor
+from .arith import Sieve, render_decimal, sieve_and_factor
 from .events import PreemptionLedger, composite_event
 from .pretender import UNIVERSAL_PRETENDER
 
@@ -59,7 +59,7 @@ class Characterization:
 
     @property
     def rarity(self) -> Fraction:
-        return reciprocal(self.density)
+        return 1 / self.density
 
     @property
     def rarity_display(self) -> str:
@@ -100,9 +100,6 @@ class Cascade:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def qs(self) -> list[int]:
         return [e.q for e in self.entries]
 
@@ -138,10 +135,9 @@ class Cascade:
         return json.dumps(self.rows(), indent=2) + "\n"
 
 
-def build_cascade(sieve: Sieve | None = None) -> Cascade:
+def build_cascade() -> Cascade:
     """Derive the full decision list by the ascending-composite walk."""
-    if sieve is None:
-        sieve = sieve_and_factor(UNIVERSAL_PRETENDER)
+    sieve = sieve_and_factor(UNIVERSAL_PRETENDER)
     ledger = PreemptionLedger(sieve)
     entries: list[Characterization] = []
     skipped: list[SkippedComposite] = []
@@ -188,7 +184,7 @@ class RootDescription:
     surplus: frozenset[int]       # formula_set minus the exact event
 
 
-def derive_k_m(cascade: Cascade, q: int, verify: bool = True) -> RootDescription:
+def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
     """Re-derive an entry's (degree, modulus) description and verify that
 
     (a) the exact event is contained in the k-th roots of 0 or 1 (mod m);
@@ -202,19 +198,18 @@ def derive_k_m(cascade: Cascade, q: int, verify: bool = True) -> RootDescription
     phi = (p - 1) * m // p
     degree = gcd(q - 1, phi)
     formula = frozenset(r for r in range(m) if pow(r, degree, m) in (0, 1))
-    if verify:
-        if degree != entry.root_degree:
-            raise RootDescriptionError(
-                f"entry {q}: stored degree {entry.root_degree} != {degree}")
-        if not entry.event <= formula:
-            raise RootDescriptionError(
-                f"entry {q}: event escapes the k-th-roots description")
-        claims = cascade.ledger.claims[p]
-        free_before = [r for r, v in enumerate(claims) if v >= q]
-        new_residues = [r for r in free_before if claims[r] == q]
-        if [r for r in free_before if r % m in formula] != new_residues:
-            raise RootDescriptionError(
-                f"entry {q}: surplus roots of 0 were not all preempted")
+    if degree != entry.root_degree:
+        raise RootDescriptionError(
+            f"entry {q}: stored degree {entry.root_degree} != {degree}")
+    if not entry.event <= formula:
+        raise RootDescriptionError(
+            f"entry {q}: event escapes the k-th-roots description")
+    claims = cascade.ledger.claims[p]
+    free_before = [r for r, v in enumerate(claims) if v >= q]
+    new_residues = [r for r in free_before if claims[r] == q]
+    if [r for r in free_before if r % m in formula] != new_residues:
+        raise RootDescriptionError(
+            f"entry {q}: surplus roots of 0 were not all preempted")
     return RootDescription(q, degree, m, formula, formula - entry.event)
 
 

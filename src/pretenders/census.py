@@ -34,6 +34,7 @@ __all__ = [
     "CensusReport",
     "Extremes",
     "FirstBaseScan",
+    "Mismatch",
     "classify_range",
     "density_by_residue_count",
     "entry_period_lcm",
@@ -46,6 +47,7 @@ __all__ = [
 
 DEFAULT_MAX_BASE = 11_000_000   # covers the latest first appearance, 10009487
 SCAN_CHUNK = 1_000_000          # bases per classify_range call in the scan
+RARITY_TOL = Fraction(1, 100)   # golden t3 truncates; render_decimal rounds
 
 
 def classify_range(cascade: Cascade, start: int, stop: int) -> array:
@@ -158,45 +160,42 @@ def extremes(report: CensusReport) -> Extremes:
 
 
 @dataclass(frozen=True)
-class RarityMismatch:
-    q: int
-    field: str
+class Mismatch:
+    table: str
+    key: object
     expected: object
     actual: object
 
 
-def rarity_regression(report: CensusReport, golden_rows,
-                      tol: Fraction = Fraction(1, 100)) -> list[RarityMismatch]:
+def rarity_regression(report: CensusReport, golden_rows) -> list[Mismatch]:
     """Diff the derived per-entry summary against golden (q, k, m,
-    first_base, rarity) rows; rarity compares as |delta| <= tol after
-    rendering to two decimals.
+    first_base, rarity) rows, keyed (q, field); rarity compares as
+    |delta| <= RARITY_TOL after rendering to two decimals.
 
     The golden rarity column truncates the exact rarity to two places,
     while ``render_decimal`` rounds half-to-even, so an entry whose
-    display rounds up sits exactly 0.01 away: inside the default tol.
+    display rounds up sits exactly 0.01 away: inside the tolerance.
     """
-    out: list[RarityMismatch] = []
+    out: list[Mismatch] = []
     derived = {e.q: e for e in report.cascade.entries}
     golden_qs = [row.q for row in golden_rows]
     if sorted(golden_qs) != sorted(derived):
         for q in sorted(set(golden_qs) ^ set(derived)):
-            out.append(RarityMismatch(q, "q", q in golden_qs, q in derived))
+            out.append(Mismatch("t3", (q, "q"), q in golden_qs, q in derived))
         return out
     for row in golden_rows:
         e = derived[row.q]
         if e.root_degree != row.k:
-            out.append(RarityMismatch(row.q, "k", row.k, e.root_degree))
+            out.append(Mismatch("t3", (row.q, "k"), row.k, e.root_degree))
         if e.root_modulus != row.m:
-            out.append(RarityMismatch(row.q, "m", row.m, e.root_modulus))
+            out.append(Mismatch("t3", (row.q, "m"), row.m, e.root_modulus))
         mine_first = report.first_base.get(row.q)
         if mine_first != row.first_base:
-            out.append(RarityMismatch(row.q, "first_base",
-                                      row.first_base, mine_first))
-        mine = Fraction(render_decimal(e.rarity, 2))
-        theirs = Fraction(row.rarity)
-        if abs(mine - theirs) > tol:
-            out.append(RarityMismatch(row.q, "rarity", row.rarity,
-                                      render_decimal(e.rarity, 2)))
+            out.append(Mismatch("t3", (row.q, "first_base"),
+                                row.first_base, mine_first))
+        mine = render_decimal(e.rarity, 2)
+        if abs(Fraction(mine) - Fraction(row.rarity)) > RARITY_TOL:
+            out.append(Mismatch("t3", (row.q, "rarity"), row.rarity, mine))
     return out
 
 

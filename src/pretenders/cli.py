@@ -94,12 +94,12 @@ def _cmd_firstbases(args) -> int:
 
 
 def _cmd_period(args) -> int:
-    pc = period_constant()
+    digits = str(period_constant())
     if args.digits:
-        print(pc.digits)
+        print(digits)
     else:
-        print(f"digits: {pc.num_digits}")
-        print(f"value : {pc.value}")
+        print(f"digits: {len(digits)}")
+        print(f"value : {digits}")
     status = 0
     if args.samples or args.minimality:
         cascade = build_cascade()
@@ -157,6 +157,14 @@ def _cmd_verify(args) -> int:
     return 0 if summary.ok else 1
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
 def _base(text: str) -> int:
     """An integer of any length: the interpreter's limit on digits in
     int(str), where it has one, is lifted for this one conversion."""
@@ -165,24 +173,21 @@ def _base(text: str) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
+        return _int(text)
     finally:
         if limited:
             sys.set_int_max_str_digits(limit)
 
 
 def _non_negative(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {text}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value

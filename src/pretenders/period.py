@@ -1,86 +1,47 @@
 """The period of the primary-pretender function and its minimality.
 
 classify(b) consults b only through b mod m for the entry moduli m, so it
-repeats with period lcm(all entry moduli).  That lcm factors as two
-primorials: the product of all primes up to the largest prime factor of
-any composite in range (277, the 59th prime) times the product of all
-primes up to the largest repeated prime factor (23, the 9th prime) -- a
-122-digit number.  Minimality is witnessed prime by prime: for each p
+repeats with period lcm(all entry moduli).  That lcm is the product of
+all primes up to the largest prime factor of any composite in range
+(277, the 59th prime) times the product of all primes up to the largest
+repeated prime factor (23, the 9th prime) -- a 122-digit number.  Minimality is witnessed prime by prime: for each p
 dividing the period N, a pair of bases congruent mod N/p that classify
 differently, so no proper divisor of N is a period.
 """
 
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
-from .arith import PrimePower, crt, sieve_and_factor
+from .arith import crt, sieve_and_factor
 from .cascade import Cascade
+from .pretender import UNIVERSAL_PRETENDER
 
 __all__ = [
     "LcmCheck",
     "MinimalityReport",
-    "PeriodConstant",
     "PeriodicityReport",
     "Witness",
     "minimality_witnesses",
     "period_constant",
     "periodicity_check",
-    "primorial",
 ]
 
-
-def primorial(k: int) -> int:
-    """Product of the first k primes."""
-    if k < 0:
-        raise ValueError("primorial of a negative index")
-    sieve = sieve_and_factor(600 if k <= 100 else 10 * k * max(k, 10))
-    if k > len(sieve.primes):
-        raise ValueError(f"primorial index {k} beyond supported range")
-    out = 1
-    for p in sieve.primes[:k]:
-        out *= p
-    return out
+SAMPLE_DIGITS = 150   # random periodicity samples are wider than the period
 
 
-@dataclass(frozen=True)
-class PeriodConstant:
-    value: int
-    prime_index_major: int   # primes up to the largest prime factor
-    prime_index_minor: int   # primes up to the largest repeated prime factor
-
-    @property
-    def digits(self) -> str:
-        return str(self.value)
-
-    @property
-    def num_digits(self) -> int:
-        return len(self.digits)
-
-    @property
-    def factorization(self) -> tuple[PrimePower, ...]:
-        sieve = sieve_and_factor(600)
-        major = sieve.primes[:self.prime_index_major]
-        minor = set(sieve.primes[:self.prime_index_minor])
-        return tuple(PrimePower(p, 2 if p in minor else 1) for p in major)
-
-
-def period_constant(limit: int = 561) -> PeriodConstant:
-    """The claimed period: primorial at the largest prime factor of any
-    composite <= limit, times primorial at the largest repeated one.
-    Both bounds are read off the sieve, not hardcoded."""
-    sieve = sieve_and_factor(limit)
-    largest = 0
-    largest_repeated = 0
-    for n in sieve.composites:
-        for pp in sieve.factorization(n):
-            largest = max(largest, pp.p)
-            if pp.e >= 2:
-                largest_repeated = max(largest_repeated, pp.p)
-    i_major = sieve.prime_count_upto(largest)
-    i_minor = sieve.prime_count_upto(largest_repeated)
-    return PeriodConstant(primorial(i_major) * primorial(i_minor),
-                          i_major, i_minor)
+def period_constant() -> int:
+    """The claimed period: the product of the primes up to the largest
+    prime factor of any composite <= 561, times the product of the primes
+    up to the largest repeated one.  Both bounds are read off the sieve,
+    not hardcoded.  Nothing here reads the cascade, so comparing this
+    with the entry moduli (``verify_lcm``) is an independent check."""
+    sieve = sieve_and_factor(UNIVERSAL_PRETENDER)
+    factors = [pp for n in sieve.composites for pp in sieve.factorization(n)]
+    largest = max(pp.p for pp in factors)
+    largest_repeated = max(pp.p for pp in factors if pp.e >= 2)
+    return (prod(p for p in sieve.primes if p <= largest)
+            * prod(p for p in sieve.primes if p <= largest_repeated))
 
 
 @dataclass(frozen=True)
@@ -93,7 +54,7 @@ class LcmCheck:
 def verify_lcm(cascade: Cascade) -> LcmCheck:
     """The lcm of the 132 entry moduli must equal the period constant."""
     entry_lcm = lcm(*(e.root_modulus for e in cascade.entries))
-    value = period_constant(cascade.sieve.limit).value
+    value = period_constant()
     return LcmCheck(entry_lcm == value, entry_lcm, value)
 
 
@@ -109,14 +70,15 @@ class PeriodicityReport:
 
 
 def periodicity_check(cascade: Cascade, samples: int = 1000,
-                      seed: int = 20260822, digits: int = 150) -> PeriodicityReport:
+                      seed: int = 20260822) -> PeriodicityReport:
     """classify(b) == classify(b + N) over small bases plus random bases
-    of ~``digits`` digits (wider than N itself)."""
-    n = period_constant(cascade.sieve.limit).value
+    of ``SAMPLE_DIGITS`` digits."""
+    n = period_constant()
     rng = random.Random(seed)
     bases = list(range(min(samples // 2, 200)))
     while len(bases) < samples:
-        bases.append(rng.randrange(10 ** (digits - 1), 10 ** digits))
+        bases.append(rng.randrange(10 ** (SAMPLE_DIGITS - 1),
+                                   10 ** SAMPLE_DIGITS))
     failures = tuple(b for b in bases
                      if cascade.classify(b) != cascade.classify(b + n))
     return PeriodicityReport(n, len(bases), failures)
@@ -152,7 +114,7 @@ def minimality_witnesses(cascade: Cascade) -> MinimalityReport:
     cell claimed after the entry (or never).  classify(b) is then the
     entry's q and classify(b + N/p) cannot be.
     """
-    n = period_constant(cascade.sieve.limit).value
+    n = period_constant()
     ledger = cascade.ledger
     target_exp: dict[int, int] = {}
     value = n

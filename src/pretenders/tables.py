@@ -21,13 +21,12 @@ from math import gcd
 from pathlib import Path
 
 from .cascade import Cascade
-from .census import CensusReport, rarity_regression
+from .census import CensusReport, Mismatch, rarity_regression
 from .period import period_constant
 
 __all__ = [
     "GoldenEntry",
     "GoldenFormatError",
-    "Mismatch",
     "RegressionSummary",
     "Table1",
     "Table2",
@@ -50,14 +49,6 @@ __all__ = [
 
 class GoldenFormatError(ValueError):
     """A golden asset failed to parse; distinct from a value mismatch."""
-
-
-@dataclass(frozen=True)
-class Mismatch:
-    table: str
-    key: object
-    expected: object
-    actual: object
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +263,7 @@ class RegressionSummary:
 
 
 def run_regressions(cascade: Cascade, report: CensusReport | None = None,
-                    directory=None,
-                    tol: Fraction = Fraction(1, 100)) -> RegressionSummary:
+                    directory=None) -> RegressionSummary:
     """Diff every derived display against its golden asset.  The per-entry
     summary (t3) is only checked when a census report is supplied, since
     its first-base column needs the scan."""
@@ -287,12 +277,9 @@ def run_regressions(cascade: Cascade, report: CensusReport | None = None,
     d2 = gen_table2(cascade, d1, g2.num_rows)
     results["t2"] = _diff_cells("t2", g2.cells, d2.cells)
     if report is not None:
-        results["t3"] = [Mismatch("t3", (mm.q, mm.field), mm.expected, mm.actual)
-                         for mm in rarity_regression(report,
-                                                     load_golden_t3(directory),
-                                                     tol)]
+        results["t3"] = rarity_regression(report, load_golden_t3(directory))
     golden_digits = load_golden_period(directory)
-    derived_digits = period_constant(cascade.sieve.limit).digits
+    derived_digits = str(period_constant())
     results["period"] = ([] if golden_digits == derived_digits
                          else [Mismatch("period", "digits", golden_digits,
                                         derived_digits)])

@@ -76,7 +76,7 @@ def test_acceptance_02_characterizations(capsys, cascade):
            if (cascade.entry_for(q).root_degree,
                cascade.entry_for(q).root_modulus) != km]
     for e in cascade.entries:   # re-derive each description from scratch
-        derive_k_m(cascade, e.q, verify=True)
+        derive_k_m(cascade, e.q)
     spots = (golden[341] == (10, 31)
              and golden[169] == (12, 169)
              and golden[561] == (1, 1))
@@ -156,8 +156,8 @@ def test_acceptance_06_density_conservation(capsys, cascade):
 
 
 def test_acceptance_07_period_constant(capsys, cascade):
-    pc = period_constant()
-    digits_ok = pc.num_digits == 122 and pc.digits == load_golden_period()
+    digits = str(period_constant())
+    digits_ok = len(digits) == 122 and digits == load_golden_period()
     lcm_ok = verify_lcm(cascade).equal
     per = periodicity_check(cascade, samples=1000)
     wit = minimality_witnesses(cascade)

@@ -7,8 +7,6 @@ from pretenders.arith import (
     PrimePower,
     Sieve,
     crt,
-    prime_count_upto,
-    reciprocal,
     render_decimal,
     sieve_and_factor,
 )
@@ -27,12 +25,8 @@ def test_sieve_primes_and_composites():
     assert s.composites[:8] == [4, 6, 8, 9, 10, 12, 14, 15]
     assert s.is_prime(47) and not s.is_prime(49)
     assert not s.is_prime(1) and not s.is_prime(0)
-    assert prime_count_upto(277) == 59
-    assert prime_count_upto(23) == 9
-    assert prime_count_upto(1) == 0
-    assert s.prime_count_upto(47) == len(s.primes) == 15
-    full = sieve_and_factor(561)
-    assert full.prime_count_upto(561) == len(full.primes)
+    assert len(s.primes) == 15 and s.primes[-1] == 47
+    assert sieve_and_factor(561).primes[-1] == 557
 
 
 def test_sieve_factorization_reassembles():
@@ -49,13 +43,6 @@ def test_sieve_factorization_reassembles():
         # exponents positive, primes strictly increasing
         assert all(pp.e >= 1 for pp in facs)
         assert [pp.p for pp in facs] == sorted({pp.p for pp in facs})
-
-
-def test_reciprocal():
-    assert reciprocal(Fraction(2, 45)) == Fraction(45, 2)
-    assert reciprocal(4) == Fraction(1, 4)
-    with pytest.raises(ZeroDivisionError):
-        reciprocal(Fraction(0))
 
 
 class TestRenderDecimal:

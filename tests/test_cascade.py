@@ -67,7 +67,7 @@ def test_classify_matches_oracle_random(cascade):
 
 
 def test_classify_huge_base_reduces_mod_period(cascade):
-    n = period_constant().value
+    n = period_constant()
     rng = random.Random(32)
     for _ in range(20):
         b = rng.randrange(10**300, 10**400)
@@ -91,7 +91,7 @@ def test_characterization_spots(cascade):
 
 def test_derive_k_m_verifies_every_entry(cascade):
     for e in cascade.entries:
-        rd = derive_k_m(cascade, e.q, verify=True)
+        rd = derive_k_m(cascade, e.q)
         assert (rd.degree, rd.modulus) == (e.root_degree, e.root_modulus)
 
 
@@ -115,7 +115,7 @@ def test_classify_is_least_claim(cascade):
     # the walk never reads the claim tables, so this checks the build
     ledger = cascade.ledger
     first = {row.q: row.first_base for row in load_golden_t3()}
-    n = period_constant().value
+    n = period_constant()
     rng = random.Random(33)
     bases = [rng.randrange(-10**6, 10**6) for _ in range(300)]
     bases += [first[q] + rng.randrange(10**6) * n for q in first]

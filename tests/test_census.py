@@ -106,7 +106,7 @@ def test_rarity_regression_flags_out_of_tolerance(census_report):
     bad = next(row for row in rows if row.q == 22)
     fiddled.append(type(bad)(bad.q, bad.k, bad.m, bad.first_base, "216.58"))
     hits = rarity_regression(census_report, fiddled)
-    assert [(m.q, m.field) for m in hits] == [(22, "rarity")]
+    assert [m.key for m in hits] == [(22, "rarity")]
     # within tolerance: one cent off passes
     fiddled[-1] = type(bad)(bad.q, bad.k, bad.m, bad.first_base, "216.57")
     assert rarity_regression(census_report, fiddled) == []

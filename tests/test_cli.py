@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -148,12 +149,19 @@ def test_usage_errors(capsys):
     ("firstbases", "--max", "0"),
     ("verify", "--oracle-limit", "-1"),
     ("classify", "12x"),
+    ("period", "--samples", "10x"),
+    ("firstbases", "--max", "abc"),
 ])
 def test_bad_numeric_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert argv[-1] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert argv[-1] in err
+    # the message names no private helper such as _positive
+    assert not re.search(r"\b_\w", err)
+    if not argv[-1].lstrip("-").isdigit():
+        assert "invalid int value" in err
 
 
 def test_zero_samples_still_skips(capsys):

@@ -1,45 +1,48 @@
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from pretenders.period import (
     minimality_witnesses,
     period_constant,
     periodicity_check,
-    primorial,
     verify_lcm,
 )
+from pretenders.arith import sieve_and_factor
+from pretenders.pretender import primary_pretender_oracle
 from pretenders.tables import load_golden_period
 
-
-def test_primorial_values():
-    assert primorial(0) == 1
-    assert primorial(1) == 2
-    assert primorial(4) == 210
-    assert primorial(9) == 223092870
-    # p#_k is squarefree and divisible by exactly k primes
-    n = primorial(12)
-    assert all(n % (p * p) != 0 for p in (2, 3, 5, 7, 11, 13))
+PRIMES = sieve_and_factor(561).primes
 
 
 def test_period_constant_value():
-    pc = period_constant()
-    assert pc.value == primorial(59) * primorial(9)
-    assert pc.num_digits == 122
-    assert pc.digits.startswith("195685843334")
-    assert pc.digits.endswith("2360439300")
-    assert (pc.prime_index_major, pc.prime_index_minor) == (59, 9)
+    n = period_constant()
+    assert type(n) is int
+    # the primes up to 277 times the primes up to 23
+    assert PRIMES[58] == 277 and PRIMES[8] == 23
+    assert n == math.prod(PRIMES[:59]) * math.prod(PRIMES[:9])
+    digits = str(n)
+    assert len(digits) == 122
+    assert digits.startswith("195685843334")
+    assert digits.endswith("2360439300")
 
 
 def test_period_matches_golden_digit_string():
-    assert period_constant().digits == load_golden_period()
+    assert str(period_constant()) == load_golden_period()
 
 
 def test_period_factorization():
-    pc = period_constant()
-    exps = {pp.p: pp.e for pp in pc.factorization}
+    n = period_constant()
+    exps = {}
+    for p in PRIMES:
+        while n % p == 0:
+            n //= p
+            exps[p] = exps.get(p, 0) + 1
+    assert n == 1
     assert len(exps) == 59
-    assert all(exps[p] == 2 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23))
-    assert all(e == 1 for p, e in exps.items() if p >= 29)
+    assert all(exps[p] == 2 for p in exps if p <= 23)
+    assert all(exps[p] == 1 for p in exps if 29 <= p <= 277)
     assert max(exps) == 277
 
 
@@ -64,7 +67,7 @@ def test_periodicity_alternate_seed(cascade):
 
 
 def test_periodicity_by_hand(cascade):
-    n = period_constant().value
+    n = period_constant()
     rng = random.Random(41)
     for _ in range(25):
         b = rng.randrange(0, 10**150)
@@ -76,7 +79,7 @@ def test_minimality_witness_per_prime_divisor(cascade):
     assert rep.ok
     assert not rep.failed
     assert len(rep.witnesses) == 59
-    n = period_constant().value
+    n = period_constant()
     for p, w in rep.witnesses.items():
         assert w.prime == p and n % p == 0
         assert w.shifted - w.base == n // p
@@ -90,6 +93,21 @@ def test_no_proper_divisor_through_witnesses(cascade):
     # every maximal proper divisor N/p fails to be a period, so no proper
     # divisor of N is one
     rep = minimality_witnesses(cascade)
-    n = period_constant().value
+    n = period_constant()
     primes = sorted(rep.witnesses)
-    assert math.prod(primes) * primorial(9) == n
+    assert math.prod(primes) * math.prod(PRIMES[:9]) == n
+
+
+BASES = st.integers(min_value=-10**300, max_value=10**300)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(BASES)
+def test_classify_is_periodic_property(cascade, b):
+    assert cascade.classify(b) == cascade.classify(b % period_constant())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(BASES)
+def test_classify_matches_oracle_property(cascade, b):
+    assert cascade.classify(b) == primary_pretender_oracle(b)
