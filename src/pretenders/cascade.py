@@ -18,11 +18,10 @@ Each entry also carries a closed-form description: its event modulo the
 constrained prime power m is contained in the k-th roots of 0 or 1
 (mod m) with k = gcd(q-1, phi(m)), and inside the cascade the two sets
 select the same new bases (the surplus roots of 0 are always preempted).
-``derive_k_m`` re-derives and verifies that description; ``classify``
+``derive_k_m`` verifies that description; ``classify``
 never uses it, walking the exact event sets instead.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -64,16 +63,6 @@ class Characterization:
     @property
     def rarity_display(self) -> str:
         return render_decimal(self.rarity, 2)
-
-    def row(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.root_degree,
-            "m": self.root_modulus,
-            "density_num": self.density.numerator,
-            "density_den": self.density.denominator,
-            "rarity": self.rarity_display,
-        }
 
 
 @dataclass(frozen=True)
@@ -119,20 +108,6 @@ class Cascade:
             if b % m in event:
                 return q
         raise AssertionError("unreachable: the universal entry matches")
-
-    def rows(self) -> list[dict]:
-        return [e.row() for e in self.entries]
-
-    def to_csv_text(self) -> str:
-        lines = ["q,k,m,density_num,density_den,rarity"]
-        for e in self.entries:
-            lines.append(f"{e.q},{e.root_degree},{e.root_modulus},"
-                         f"{e.density.numerator},{e.density.denominator},"
-                         f"{e.rarity_display}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.rows(), indent=2) + "\n"
 
 
 def build_cascade() -> Cascade:
@@ -185,22 +160,21 @@ class RootDescription:
 
 
 def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
-    """Re-derive an entry's (degree, modulus) description and verify that
+    """Verify an entry's (degree, modulus) description:
 
-    (a) the exact event is contained in the k-th roots of 0 or 1 (mod m);
-    (b) inside the cascade the description selects exactly the entry's
+    (a) the exact event, enumerated by pow(), has k + 1 residues;
+    (b) the event is contained in the k-th roots of 0 or 1 (mod m);
+    (c) inside the cascade the description selects exactly the entry's
         new bases, i.e. every surplus root was already preempted.
     """
     entry = cascade.entry_for(q)
     if entry.prime is None:
         return RootDescription(q, 1, 1, frozenset({0}), frozenset())
-    p, m = entry.prime, entry.root_modulus
-    phi = (p - 1) * m // p
-    degree = gcd(q - 1, phi)
-    formula = frozenset(r for r in range(m) if pow(r, degree, m) in (0, 1))
-    if degree != entry.root_degree:
+    p, m, degree = entry.prime, entry.root_modulus, entry.root_degree
+    if len(entry.event) != degree + 1:
         raise RootDescriptionError(
-            f"entry {q}: stored degree {entry.root_degree} != {degree}")
+            f"entry {q}: {len(entry.event)} event residues, not k + 1")
+    formula = frozenset(r for r in range(m) if pow(r, degree, m) in (0, 1))
     if not entry.event <= formula:
         raise RootDescriptionError(
             f"entry {q}: event escapes the k-th-roots description")

@@ -21,12 +21,12 @@ the roots come from pow() and are cached per (exponent, modulus) pair.
 import sys
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .arith import render_decimal
 from .cascade import Cascade
 from .pretender import primary_pretender_oracle
 
@@ -47,7 +47,7 @@ __all__ = [
 
 DEFAULT_MAX_BASE = 11_000_000   # covers the latest first appearance, 10009487
 SCAN_CHUNK = 1_000_000          # bases per classify_range call in the scan
-RARITY_TOL = Fraction(1, 100)   # golden t3 truncates; render_decimal rounds
+RARITY_TOL = Fraction(1, 100)   # golden t3 truncates; the display rounds
 
 
 def classify_range(cascade: Cascade, start: int, stop: int) -> array:
@@ -86,7 +86,6 @@ def classify_range(cascade: Cascade, start: int, stop: int) -> array:
 @dataclass
 class FirstBaseScan:
     found: dict[int, int]
-    max_base: int
     missing: tuple[int, ...]
     seconds: float
 
@@ -110,7 +109,7 @@ def first_bases(cascade: Cascade,
                 want.discard(q)
         if not want:
             break
-    return FirstBaseScan(found=dict(sorted(found.items())), max_base=max_base,
+    return FirstBaseScan(found=dict(sorted(found.items())),
                          missing=tuple(sorted(want)),
                          seconds=time.perf_counter() - t0)
 
@@ -118,27 +117,16 @@ def first_bases(cascade: Cascade,
 @dataclass
 class CensusReport:
     cascade: Cascade
-    first_base: dict[int, int]
     scan: FirstBaseScan
+
+    @property
+    def first_base(self) -> dict[int, int]:
+        return self.scan.found
 
     @classmethod
     def build(cls, cascade: Cascade,
               max_base: int = DEFAULT_MAX_BASE) -> "CensusReport":
-        scan = first_bases(cascade, max_base)
-        return cls(
-            cascade=cascade,
-            first_base=scan.found,
-            scan=scan,
-        )
-
-    def to_csv_text(self) -> str:
-        lines = ["q,k,m,first_base,density_num,density_den,rarity"]
-        for e in self.cascade.entries:
-            first = self.first_base.get(e.q, "")
-            lines.append(f"{e.q},{e.root_degree},{e.root_modulus},{first},"
-                         f"{e.density.numerator},{e.density.denominator},"
-                         f"{e.rarity_display}")
-        return "\n".join(lines) + "\n"
+        return cls(cascade, first_bases(cascade, max_base))
 
 
 @dataclass(frozen=True)
@@ -170,19 +158,20 @@ class Mismatch:
 def rarity_regression(report: CensusReport, golden_rows) -> list[Mismatch]:
     """Diff the derived per-entry summary against golden (q, k, m,
     first_base, rarity) rows, keyed (q, field); rarity compares as
-    |delta| <= RARITY_TOL after rendering to two decimals.
+    |delta| <= RARITY_TOL after rendering to two decimals.  Fields are
+    compared only when the rows hold each entry's q exactly once.
 
     The golden rarity column truncates the exact rarity to two places,
-    while ``render_decimal`` rounds half-to-even, so an entry whose
+    while ``rarity_display`` rounds half-to-even, so an entry whose
     display rounds up sits exactly 0.01 away: inside the tolerance.
     """
     out: list[Mismatch] = []
     derived = {e.q: e for e in report.cascade.entries}
-    golden_qs = [row.q for row in golden_rows]
-    if sorted(golden_qs) != sorted(derived):
-        for q in sorted(set(golden_qs) ^ set(derived)):
-            out.append(Mismatch("t3", (q, "q"), q in golden_qs, q in derived))
-        return out
+    want = Counter(row.q for row in golden_rows)
+    have = Counter(derived.keys())
+    if want != have:
+        return [Mismatch("t3", (q, "q"), want[q], have[q])
+                for q in sorted(want | have) if want[q] != have[q]]
     for row in golden_rows:
         e = derived[row.q]
         if e.root_degree != row.k:
@@ -193,7 +182,7 @@ def rarity_regression(report: CensusReport, golden_rows) -> list[Mismatch]:
         if mine_first != row.first_base:
             out.append(Mismatch("t3", (row.q, "first_base"),
                                 row.first_base, mine_first))
-        mine = render_decimal(e.rarity, 2)
+        mine = e.rarity_display
         if abs(Fraction(mine) - Fraction(row.rarity)) > RARITY_TOL:
             out.append(Mismatch("t3", (row.q, "rarity"), row.rarity, mine))
     return out

@@ -23,6 +23,7 @@ from .period import minimality_witnesses, period_constant, periodicity_check, ve
 from .pretender import primary_pretender_oracle
 from .tables import (
     GoldenFormatError,
+    format_cascade,
     format_mod36,
     format_t3,
     format_table1,
@@ -47,31 +48,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    cascade = build_cascade()
-    if args.format == "csv":
-        sys.stdout.write(cascade.to_csv_text())
-    elif args.format == "json":
-        sys.stdout.write(cascade.to_json_text())
-    else:
-        print(f"{'q':>4} {'k':>3} {'m':>4} {'density':>12} {'rarity':>11}")
-        for e in cascade.entries:
-            dens = f"{e.density.numerator}/{e.density.denominator}"
-            print(f"{e.q:>4} {e.root_degree:>3} {e.root_modulus:>4} "
-                  f"{dens:>12} {e.rarity_display:>11}")
+    sys.stdout.write(format_cascade(build_cascade(), args.format))
     return 0
 
 
 def _cmd_density(args) -> int:
     cascade = build_cascade()
     q = args.q
-    try:
-        entry_obj = cascade.entry_for(q)
-    except KeyError:
-        entry_obj = None
-    if entry_obj is not None:
-        d = entry_obj.density
-        print(f"density: {d.numerator}/{d.denominator}")
-        print(f"rarity : {entry_obj.rarity_display}")
+    if q in cascade.qs():
+        e = cascade.entry_for(q)
+        print(f"density: {e.density.numerator}/{e.density.denominator}")
+        print(f"rarity : {e.rarity_display}")
         return 0
     if q in {s.q for s in cascade.skipped}:
         print("density: 0/1")
@@ -84,7 +71,7 @@ def _cmd_density(args) -> int:
 def _cmd_firstbases(args) -> int:
     cascade = build_cascade()
     report = CensusReport.build(cascade, max_base=args.max)
-    sys.stdout.write(report.to_csv_text())
+    sys.stdout.write(format_t3(report, "csv"))
     if report.scan.missing:
         missing = ", ".join(str(q) for q in report.scan.missing)
         print(f"warning: no base below {args.max} reaches: {missing}",
@@ -124,17 +111,15 @@ def _cmd_period(args) -> int:
 
 def _cmd_table(args) -> int:
     cascade = build_cascade()
-    if args.which == "mod36":
-        sys.stdout.write(format_mod36(gen_mod36(cascade), args.format))
-    elif args.which == "t1":
+    if args.which == "t3":   # t3 needs the first-base scan
+        text = format_t3(CensusReport.build(cascade), args.format)
+    elif args.which == "mod36":
+        text = format_mod36(gen_mod36(cascade), args.format)
+    else:
         t1 = gen_table1(cascade, gen_mod36(cascade))
-        sys.stdout.write(format_table1(t1, args.format))
-    elif args.which == "t2":
-        t1 = gen_table1(cascade, gen_mod36(cascade))
-        sys.stdout.write(format_table2(gen_table2(cascade, t1), args.format))
-    else:   # t3 needs the first-base scan
-        report = CensusReport.build(cascade)
-        sys.stdout.write(format_t3(report, args.format))
+        text = (format_table1(t1, args.format) if args.which == "t1"
+                else format_table2(gen_table2(cascade, t1), args.format))
+    sys.stdout.write(text)
     return 0
 
 

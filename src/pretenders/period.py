@@ -150,7 +150,7 @@ def minimality_witnesses(cascade: Cascade) -> MinimalityReport:
                     for tp, table in ledger.claims.items()]
         b = crt(residues, list(ledger.moduli.values()))
         v, sv = cascade.classify(b), cascade.classify(b + shift)
-        if v != entry.q or sv == v or (b - (b + shift)) % shift != 0:
+        if v != entry.q or sv == v:
             failed.append(p)
             continue
         witnesses[p] = Witness(p, b, b + shift, v, sv)

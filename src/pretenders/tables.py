@@ -1,4 +1,5 @@
-"""Residue-class displays, their derivation, and golden-file regression.
+"""Residue-class displays, their derivation, golden-file regression, and
+every text, CSV and JSON layout the package reads or writes.
 
 A residue class c mod M pins b mod p**v for each prime power p**v || M.
 Restricting the ledger's per-prime claim tables to the pinned cells tells
@@ -7,17 +8,19 @@ definite value precisely when a single entry claims all of it.  That
 restriction produces the mod-36 display (values 4, 6, 9 or '?'), the 20x7
 grid over the undecided classes mod 1260 (values 10, 14, 15, 21 or '?'),
 and the 32 columns of the computed-value grid for the classes that stay
-undecided at every modulus dividing 1260.
+undecided at every modulus dividing 1260.  Each display is a plain dict
+of cells keyed by its CSV key columns; its axes are read off the keys.
 
 The golden copies of these displays ship as CSV assets.  They are data,
 transcribed once; nothing here derives from them -- they exist only to be
 diffed against.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 from .cascade import Cascade
@@ -25,12 +28,9 @@ from .census import CensusReport, Mismatch, rarity_regression
 from .period import period_constant
 
 __all__ = [
-    "GoldenEntry",
     "GoldenFormatError",
-    "RegressionSummary",
-    "Table1",
-    "Table2",
     "class_profile",
+    "format_cascade",
     "format_mod36",
     "format_t3",
     "format_table1",
@@ -45,6 +45,11 @@ __all__ = [
     "load_golden_t3",
     "run_regressions",
 ]
+
+# golden file and CSV header of each residue-class grid
+_GRIDS = {"mod36": ("mod36.csv", "residue,value"),
+          "t1": ("t1.csv", "residue,offset,value"),
+          "t2": ("t2.csv", "class,row,value")}
 
 
 class GoldenFormatError(ValueError):
@@ -86,123 +91,112 @@ def class_profile(cascade: Cascade, modulus: int, residue: int,
     return values
 
 
+def _constant(cascade: Cascade, modulus: int, residue: int) -> int | None:
+    """The one classify value of a class, None when it takes several."""
+    profile = class_profile(cascade, modulus, residue, max_distinct=2)
+    return profile[0] if len(profile) == 1 else None
+
+
 def gen_mod36(cascade: Cascade) -> dict[int, int | None]:
     """Value of each class mod 36, None when the class is not constant."""
-    out: dict[int, int | None] = {}
-    for r in range(36):
-        profile = class_profile(cascade, 36, r, max_distinct=2)
-        out[r] = profile[0] if len(profile) == 1 else None
-    return out
+    return {r: _constant(cascade, 36, r) for r in range(36)}
 
 
-@dataclass(frozen=True)
-class Table1:
-    columns: tuple[int, ...]             # residues mod 180
-    offsets: tuple[int, ...]             # 0, 180, ..., 1080
-    cells: dict[tuple[int, int], int | None]
-
-
-def gen_table1(cascade: Cascade, mod36: dict[int, int | None]) -> Table1:
+def gen_table1(cascade: Cascade, mod36: dict[int, int | None]
+               ) -> dict[tuple[int, int], int | None]:
     """Constant-or-undecided grid over the classes mod 1260 refining the
-    '?' classes of the mod-36 display ``mod36``."""
+    '?' classes of the mod-36 display ``mod36``, keyed (residue mod 180,
+    offset) with offsets 0, 180, ..., 1080."""
     unknown36 = {r for r, v in mod36.items() if v is None}
-    columns = tuple(r for r in range(180) if r % 36 in unknown36)
-    offsets = tuple(180 * i for i in range(7))
-    cells: dict[tuple[int, int], int | None] = {}
-    for col in columns:
-        for off in offsets:
-            profile = class_profile(cascade, 1260, col + off, max_distinct=2)
-            cells[(col, off)] = profile[0] if len(profile) == 1 else None
-    return Table1(columns, offsets, cells)
+    return {(col, off): _constant(cascade, 1260, col + off)
+            for col in range(180) if col % 36 in unknown36
+            for off in range(0, 1260, 180)}
 
 
-@dataclass(frozen=True)
-class Table2:
-    columns: tuple[int, ...]             # residues mod 1260
-    num_rows: int
-    cells: dict[tuple[int, int], int]    # (column, row) -> classify value
-
-
-def gen_table2(cascade: Cascade, t1: Table1, num_rows: int = 41) -> Table2:
+def gen_table2(cascade: Cascade, t1: dict[tuple[int, int], int | None],
+               num_rows: int = 41) -> dict[tuple[int, int], int]:
     """classify over the classes mod 1260 that ``t1`` leaves undecided,
-    rows adding successive multiples of 1260."""
-    columns = tuple(sorted(c + o for (c, o), v in t1.cells.items()
-                           if v is None))
-    cells = {(col, i): cascade.classify(col + 1260 * i)
-             for col in columns for i in range(num_rows)}
-    return Table2(columns, num_rows, cells)
+    keyed (class, row), row i adding 1260 * i."""
+    return {(c + o, i): cascade.classify(c + o + 1260 * i)
+            for (c, o), v in t1.items() if v is None for i in range(num_rows)}
+
+
+def _axes(cells: dict) -> list[list[int]]:
+    """Sorted distinct values of each key column of a grid."""
+    return [sorted(set(axis)) for axis in zip(*cells)]
 
 
 # ---------------------------------------------------------------------------
 # golden assets
 
 def _read_lines(name: str, directory: str | Path | None) -> list[str]:
-    if directory is not None:
-        text = (Path(directory) / name).read_text()
-    else:
-        text = (resources.files("pretenders") / "data" / name).read_text()
-    return [ln for ln in text.splitlines() if ln.strip()]
+    root = (resources.files("pretenders") / "data" if directory is None
+            else Path(directory))
+    return [ln for ln in (root / name).read_text().splitlines() if ln.strip()]
 
 
-def _parse_csv(name: str, directory, header: str) -> list[list[str]]:
-    lines = _read_lines(name, directory)
-    if not lines or lines[0] != header:
-        raise GoldenFormatError(f"{name}: expected header {header!r}")
-    rows = [ln.split(",") for ln in lines[1:]]
-    width = len(header.split(","))
-    for row in rows:
-        if len(row) != width:
-            raise GoldenFormatError(f"{name}: malformed row {row!r}")
-    return rows
+def _bad_row(name: str, what: str, row: list[str]) -> GoldenFormatError:
+    return GoldenFormatError(f"{name}: {what} in row {','.join(row)!r}")
 
 
 def _int(token: str, name: str, row: list[str]) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise GoldenFormatError(
-            f"{name}: bad integer {token!r} in row {','.join(row)!r}") from exc
+    try:   # int() alone also reads '3_41', ' 341' and non-ASCII digits
+        if token.isdigit() and token.isascii():
+            return int(token)
+    except ValueError:   # past the interpreter's limit on digits
+        pass
+    raise _bad_row(name, f"bad integer {token!r}", row)
 
 
-def _cell(token: str, name: str, row: list[str]) -> int | None:
-    return None if token == "?" else _int(token, name, row)
+def _parse_csv(name: str, directory, header: str,
+               keys: int) -> dict[tuple[int, ...], list[str]]:
+    """Rows of a golden CSV by the integers in their first ``keys``
+    columns; a repeated key is an error."""
+    lines = _read_lines(name, directory)
+    if not lines or lines[0] != header:
+        raise GoldenFormatError(f"{name}: expected header {header!r}")
+    width = len(header.split(","))
+    rows: dict[tuple[int, ...], list[str]] = {}
+    for row in (ln.split(",") for ln in lines[1:]):
+        if len(row) != width:
+            raise _bad_row(name, f"expected {width} fields", row)
+        key = tuple([_int(token, name, row) for token in row[:keys]])
+        if key in rows:
+            raise _bad_row(name, "repeated key", row)
+        rows[key] = row
+    return rows
+
+
+def _read_grid(which: str, directory) -> dict[tuple[int, ...], int | None]:
+    """Cells of a golden grid keyed by the tuple of its key columns; '?'
+    reads as None.  The keys must fill the product of their axes."""
+    name, header = _GRIDS[which]
+    rows = _parse_csv(name, directory, header, header.count(","))
+    cells = {key: None if row[-1] == "?" else _int(row[-1], name, row)
+             for key, row in rows.items()}
+    if not cells:
+        raise GoldenFormatError(f"{name}: no rows below the header")
+    if len(cells) != prod(len(axis) for axis in _axes(cells)):
+        raise GoldenFormatError(f"{name}: ragged grid")
+    return cells
 
 
 def load_golden_mod36(directory=None) -> dict[int, int | None]:
-    name = "mod36.csv"
-    rows = _parse_csv(name, directory, "residue,value")
-    out = {_int(row[0], name, row): _cell(row[1], name, row) for row in rows}
+    out = {r: v for (r,), v in _read_grid("mod36", directory).items()}
     if sorted(out) != list(range(36)):
         raise GoldenFormatError("mod36.csv: expected residues 0..35")
     return out
 
 
-def load_golden_t1(directory=None) -> Table1:
-    name = "t1.csv"
-    rows = _parse_csv(name, directory, "residue,offset,value")
-    cells = {(_int(row[0], name, row), _int(row[1], name, row)):
-             _cell(row[2], name, row) for row in rows}
-    columns = tuple(sorted({r for r, _ in cells}))
-    offsets = tuple(sorted({o for _, o in cells}))
-    if len(cells) != len(columns) * len(offsets):
-        raise GoldenFormatError("t1.csv: ragged grid")
-    return Table1(columns, offsets, cells)
+def load_golden_t1(directory=None) -> dict[tuple[int, int], int | None]:
+    return _read_grid("t1", directory)
 
 
-def load_golden_t2(directory=None) -> Table2:
-    name = "t2.csv"
-    rows = _parse_csv(name, directory, "class,row,value")
-    cells = {}
-    for row in rows:
-        val = _cell(row[2], name, row)
-        if val is None:
-            raise GoldenFormatError(f"{name}: unexpected '?'")
-        cells[(_int(row[0], name, row), _int(row[1], name, row))] = val
-    columns = tuple(sorted({c for c, _ in cells}))
-    num_rows = 1 + max(i for _, i in cells)
-    if len(cells) != len(columns) * num_rows:
-        raise GoldenFormatError("t2.csv: ragged grid")
-    return Table2(columns, num_rows, cells)
+def load_golden_t2(directory=None) -> dict[tuple[int, int], int]:
+    cells = _read_grid("t2", directory)
+    if None in cells.values():
+        raise GoldenFormatError("t2.csv: unexpected '?'")
+    return cells
 
 
 @dataclass(frozen=True)
@@ -215,19 +209,18 @@ class GoldenEntry:
 
 
 def load_golden_t3(directory=None) -> list[GoldenEntry]:
-    """Per-entry summary rows.  The rarity column is the exact rarity
-    truncated (not rounded) to two decimals, kept as its text."""
+    """Per-entry summary rows, one per q.  The rarity column is the exact
+    rarity truncated (not rounded) to two decimals, kept as its text."""
     name = "t3.csv"
-    rows = _parse_csv(name, directory, "q,k,m,first_base,rarity")
     out = []
-    for row in rows:
-        rarity = row[4]
+    for (q,), row in _parse_csv(name, directory, "q,k,m,first_base,rarity",
+                                1).items():
+        k, m, first = (_int(token, name, row) for token in row[1:4])
         try:
-            Fraction(rarity)
-        except ValueError as exc:
-            raise GoldenFormatError(f"{name}: bad rarity {rarity!r}") from exc
-        q, k, m, first = (_int(token, name, row) for token in row[:4])
-        out.append(GoldenEntry(q, k, m, first, rarity))
+            Fraction(row[4])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _bad_row(name, f"bad rarity {row[4]!r}", row) from exc
+        out.append(GoldenEntry(q, k, m, first, row[4]))
     return out
 
 
@@ -267,22 +260,21 @@ def run_regressions(cascade: Cascade, report: CensusReport | None = None,
     """Diff every derived display against its golden asset.  The per-entry
     summary (t3) is only checked when a census report is supplied, since
     its first-base column needs the scan."""
-    results: dict[str, list[Mismatch]] = {}
     d36 = gen_mod36(cascade)
-    results["mod36"] = _diff_cells("mod36", load_golden_mod36(directory), d36)
-    g1 = load_golden_t1(directory)
     d1 = gen_table1(cascade, d36)
-    results["t1"] = _diff_cells("t1", g1.cells, d1.cells)
     g2 = load_golden_t2(directory)
-    d2 = gen_table2(cascade, d1, g2.num_rows)
-    results["t2"] = _diff_cells("t2", g2.cells, d2.cells)
+    # as many rows as the golden grid has: rows it skips show as absent
+    d2 = gen_table2(cascade, d1, len(_axes(g2)[1]))
+    results = {
+        "mod36": _diff_cells("mod36", load_golden_mod36(directory), d36),
+        "t1": _diff_cells("t1", load_golden_t1(directory), d1),
+        "t2": _diff_cells("t2", g2, d2),
+        "period": _diff_cells("period",
+                              {"digits": load_golden_period(directory)},
+                              {"digits": str(period_constant())}),
+    }
     if report is not None:
         results["t3"] = rarity_regression(report, load_golden_t3(directory))
-    golden_digits = load_golden_period(directory)
-    derived_digits = str(period_constant())
-    results["period"] = ([] if golden_digits == derived_digits
-                         else [Mismatch("period", "digits", golden_digits,
-                                        derived_digits)])
     return RegressionSummary(results)
 
 
@@ -293,48 +285,83 @@ def _cell_text(v: int | None) -> str:
     return "?" if v is None else str(v)
 
 
+def _csv(header: str, rows) -> str:
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _grid_csv(which: str, cells: dict[tuple[int, ...], int | None]) -> str:
+    """A grid in its golden file's layout, the last key varying slowest."""
+    return _csv(_GRIDS[which][1],
+                [(*key, _cell_text(cells[key]))
+                 for key in sorted(cells, key=lambda k: k[::-1])])
+
+
+def _grid_txt(cells: dict[tuple[int, int], int | None], corner: str,
+              width: int, label) -> str:
+    """A two-key grid with its first key across and its second down."""
+    columns, rows = _axes(cells)
+    lines = [corner + " ".join(f"{c:>{width}}" for c in columns)]
+    for r in rows:
+        lines.append(label(r) + " " + " ".join(
+            f"{_cell_text(cells[(c, r)]):>{width}}" for c in columns))
+    return "\n".join(lines) + "\n"
+
+
 def format_mod36(values: dict[int, int | None], fmt: str = "txt") -> str:
     if fmt == "csv":
-        lines = ["residue,value"]
-        lines += [f"{r},{_cell_text(values[r])}" for r in sorted(values)]
-        return "\n".join(lines) + "\n"
+        return _grid_csv("mod36", {(r,): v for r, v in values.items()})
     head = " ".join(f"{r:>2}" for r in sorted(values))
     body = " ".join(f"{_cell_text(values[r]):>2}" for r in sorted(values))
     return f"b mod 36:  {head}\nvalue   :  {body}\n"
 
 
-def format_table1(t1: Table1, fmt: str = "txt") -> str:
+def format_table1(t1: dict[tuple[int, int], int | None],
+                  fmt: str = "txt") -> str:
     if fmt == "csv":
-        lines = ["residue,offset,value"]
-        for off in t1.offsets:
-            for col in t1.columns:
-                lines.append(f"{col},{off},{_cell_text(t1.cells[(col, off)])}")
-        return "\n".join(lines) + "\n"
-    lines = ["b mod 180 " + " ".join(f"{c:>3}" for c in t1.columns)]
-    for off in t1.offsets:
-        row = " ".join(f"{_cell_text(t1.cells[(c, off)]):>3}"
-                       for c in t1.columns)
-        lines.append(f"{'+' + str(off):>9} {row}")
-    return "\n".join(lines) + "\n"
+        return _grid_csv("t1", t1)
+    return _grid_txt(t1, "b mod 180 ", 3, lambda off: f"{'+' + str(off):>9}")
 
 
-def format_table2(t2: Table2, fmt: str = "txt") -> str:
+def format_table2(t2: dict[tuple[int, int], int], fmt: str = "txt") -> str:
     if fmt == "csv":
-        lines = ["class,row,value"]
-        for i in range(t2.num_rows):
-            for col in t2.columns:
-                lines.append(f"{col},{i},{t2.cells[(col, i)]}")
-        return "\n".join(lines) + "\n"
-    lines = ["row " + " ".join(f"{c:>4}" for c in t2.columns)]
-    for i in range(t2.num_rows):
-        row = " ".join(f"{t2.cells[(c, i)]:>4}" for c in t2.columns)
-        lines.append(f"{i:>3} {row}")
+        return _grid_csv("t2", t2)
+    return _grid_txt(t2, "row ", 4, lambda i: f"{i:>3}")
+
+
+def _entry_table(cascade: Cascade, fmt: str,
+                 first_base: dict[int, int] | None = None) -> str:
+    """One CSV line or JSON object per entry.  With ``first_base`` a
+    first_base column follows m, blank for an entry the scan missed."""
+    rows = []
+    for e in cascade.entries:
+        row = {"q": e.q, "k": e.root_degree, "m": e.root_modulus}
+        if first_base is not None:
+            row["first_base"] = first_base.get(e.q, "")
+        rows.append(row | {"density_num": e.density.numerator,
+                           "density_den": e.density.denominator,
+                           "rarity": e.rarity_display})
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    return _csv(",".join(rows[0]), (row.values() for row in rows))
+
+
+def format_cascade(cascade: Cascade, fmt: str = "txt") -> str:
+    """The decision list as text, CSV or JSON."""
+    if fmt != "txt":
+        return _entry_table(cascade, fmt)
+    lines = [f"{'q':>4} {'k':>3} {'m':>4} {'density':>12} {'rarity':>11}"]
+    for e in cascade.entries:
+        dens = f"{e.density.numerator}/{e.density.denominator}"
+        lines.append(f"{e.q:>4} {e.root_degree:>3} {e.root_modulus:>4} "
+                     f"{dens:>12} {e.rarity_display:>11}")
     return "\n".join(lines) + "\n"
 
 
 def format_t3(report: CensusReport, fmt: str = "txt") -> str:
+    """The per-entry summary with first bases, as text or CSV."""
     if fmt == "csv":
-        return report.to_csv_text()
+        return _entry_table(report.cascade, fmt, report.first_base)
     lines = [f"{'q':>4} {'roots':>10} {'first base':>10} {'rarity':>11}"]
     for e in report.cascade.entries:
         roots = f"{e.root_degree}({e.root_modulus})"

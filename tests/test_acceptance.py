@@ -175,15 +175,14 @@ def test_acceptance_08_table_regressions(capsys, cascade):
               == [2, 11, 14, 23])
     t1 = gen_table1(cascade, m36)
     g1 = load_golden_t1()
-    numeric = sum(1 for v in t1.cells.values() if v is not None)
-    t1_ok = (t1.cells == g1.cells and len(t1.cells) == 140
-             and numeric == 108)
+    numeric = sum(1 for v in t1.values() if v is not None)
+    t1_ok = t1 == g1 and len(t1) == 140 and numeric == 108
     t2 = gen_table2(cascade, t1)
     g2 = load_golden_t2()
-    t2_ok = (t2.cells == g2.cells and len(t2.cells) == 1312
-             and t2.cells[(2, 0)] == 341
-             and t2.cells[(23, 8)] == 561
-             and t2.cells[(38, 0)] == 38)
+    t2_ok = (t2 == g2 and len(t2) == 1312
+             and t2[(2, 0)] == 341
+             and t2[(23, 8)] == 561
+             and t2[(38, 0)] == 38)
     ok = m36_ok and t1_ok and t2_ok
     verdict(capsys, 8, "mod-36 display and both grids reproduce exactly",
             ok, "0 mismatches over 36 + 140 + 1312 cells")

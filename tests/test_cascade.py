@@ -11,7 +11,7 @@ from pretenders import (
     primary_pretender_oracle,
 )
 from pretenders.period import period_constant
-from pretenders.tables import load_golden_t3
+from pretenders.tables import format_cascade, load_golden_t3
 
 HAND_DENSITIES = {
     4: Fraction(1, 2),
@@ -147,11 +147,11 @@ def test_rarity_rendering_spots(cascade):
 
 
 def test_csv_and_json_dumps(cascade):
-    lines = cascade.to_csv_text().strip().split("\n")
+    lines = format_cascade(cascade, "csv").strip().split("\n")
     assert lines[0] == "q,k,m,density_num,density_den,rarity"
     assert len(lines) == 133
     assert lines[1].startswith("4,1,4,1,2,")
-    rows = json.loads(cascade.to_json_text())
+    rows = json.loads(format_cascade(cascade, "json"))
     assert len(rows) == 132
     assert rows[0]["q"] == 4 and rows[-1]["q"] == 561
 

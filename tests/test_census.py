@@ -16,7 +16,7 @@ from pretenders.census import (
     rarity_regression,
     verify_skipped,
 )
-from pretenders.tables import load_golden_t3
+from pretenders.tables import format_cascade, format_t3, load_golden_t3
 
 
 def test_classify_range_matches_scalar(cascade):
@@ -58,7 +58,8 @@ def test_full_scan_finds_everything(census_report):
     assert len(scan.found) == 132
     assert scan.found[453] == 10009487
     # first bases live in the report; the shared cascade stays as built
-    assert census_report.cascade.rows() == build_cascade().rows()
+    assert (format_cascade(census_report.cascade, "json")
+            == format_cascade(build_cascade(), "json"))
 
 
 def test_first_bases_against_golden(census_report):
@@ -110,6 +111,17 @@ def test_rarity_regression_flags_out_of_tolerance(census_report):
     # within tolerance: one cent off passes
     fiddled[-1] = type(bad)(bad.q, bad.k, bad.m, bad.first_base, "216.57")
     assert rarity_regression(census_report, fiddled) == []
+
+
+def test_rarity_regression_counts_each_q(census_report):
+    # a repeated or missing q is reported even when the set of qs is right
+    rows = load_golden_t3()
+    broken = [row if row.q != 453 else type(row)(453, 1, 151, 1, "99")
+              for row in rows]
+    hits = rarity_regression(census_report, broken + [rows[0]])
+    assert [(m.key, m.expected, m.actual) for m in hits] == [((4, "q"), 2, 1)]
+    hits = rarity_regression(census_report, rows[1:])
+    assert [(m.key, m.expected, m.actual) for m in hits] == [((4, "q"), 0, 1)]
 
 
 def test_density_by_residue_count_small_entries(cascade):
@@ -169,7 +181,7 @@ def test_verify_skipped_rejects_a_composite_with_free_cells(cascade):
 
 
 def test_census_csv_shape(census_report):
-    lines = census_report.to_csv_text().strip().split("\n")
+    lines = format_t3(census_report, "csv").strip().split("\n")
     assert lines[0] == "q,k,m,first_base,density_num,density_den,rarity"
     assert len(lines) == 133
     by_q = {int(ln.split(",")[0]): ln.split(",") for ln in lines[1:]}

@@ -130,6 +130,28 @@ def test_verify_names_a_golden_file_with_a_bad_key(capsys, tmp_path, name,
     assert err.startswith("error: ") and name in err and bad_row in err
 
 
+def _repeat_4_and_break_453(text):
+    text = text.replace("\n453,2,151,10009487,2143037.38\n",
+                        "\n453,1,151,1,99\n")
+    return text + "4,1,4,999,2\n"
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("t3.csv", _repeat_4_and_break_453),
+    ("t2.csv", lambda text: "class,row,value\n"),
+    ("t1.csv", lambda text: text + "11,0,10\n"),
+], ids=["t3-repeated-q", "t2-header-only", "t1-repeated-key"])
+def test_verify_rejects_repeated_rows_and_empty_grids(capsys, tmp_path, name,
+                                                      edit):
+    for asset in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):
+        shutil.copy(ASSET_DIR / asset, tmp_path / asset)
+    (tmp_path / name).write_text(edit((tmp_path / name).read_text()))
+    code, out, err = run(capsys, "verify", "--golden", str(tmp_path),
+                         "--oracle-limit", "0")
+    assert code == 2, out
+    assert err.startswith("error: ") and name in err
+
+
 def test_verify_missing_golden_dir(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--golden", str(tmp_path / "nope"),
                        "--oracle-limit", "0")

@@ -3,6 +3,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pretenders.tables import (
     GoldenFormatError,
@@ -23,6 +24,9 @@ from pretenders.tables import (
 )
 
 ASSET_DIR = Path(__file__).resolve().parents[1] / "src" / "pretenders" / "data"
+LOADERS = {"mod36.csv": load_golden_mod36, "t1.csv": load_golden_t1,
+           "t2.csv": load_golden_t2, "t3.csv": load_golden_t3,
+           "period.txt": load_golden_period}
 
 
 @pytest.fixture()
@@ -72,22 +76,22 @@ def test_mod36_display(cascade):
 
 def test_table1_shape_and_content(cascade):
     t1 = gen_table1(cascade, gen_mod36(cascade))
-    assert len(t1.columns) == 20
-    assert t1.offsets == (0, 180, 360, 540, 720, 900, 1080)
-    numeric = [v for v in t1.cells.values() if v is not None]
+    assert len({c for c, _ in t1}) == 20
+    assert sorted({o for _, o in t1}) == [0, 180, 360, 540, 720, 900, 1080]
+    numeric = [v for v in t1.values() if v is not None]
     assert len(numeric) == 108
-    assert len(t1.cells) - len(numeric) == 32
+    assert len(t1) - len(numeric) == 32
     assert set(numeric) == {10, 14, 15, 21}
-    assert t1.cells[(83, 0)] == 21
-    assert t1.cells[(2, 180)] == 14
-    assert t1.cells[(2, 0)] is None
-    assert t1.cells == load_golden_t1().cells
+    assert t1[(83, 0)] == 21
+    assert t1[(2, 180)] == 14
+    assert t1[(2, 0)] is None
+    assert t1 == load_golden_t1()
 
 
 def test_table1_numeric_cells_really_constant(cascade):
     # sampled backstop for the structural constancy argument
     t1 = gen_table1(cascade, gen_mod36(cascade))
-    numeric = [(c + o, v) for (c, o), v in t1.cells.items() if v is not None]
+    numeric = [(c + o, v) for (c, o), v in t1.items() if v is not None]
     rng = random.Random(51)
     picks = rng.sample(numeric, 24)
     for cls, v in picks:
@@ -98,25 +102,25 @@ def test_table1_numeric_cells_really_constant(cascade):
 def test_table2_matches_golden_and_bounds(cascade):
     t2 = gen_table2(cascade, gen_table1(cascade, gen_mod36(cascade)))
     golden = load_golden_t2()
-    assert t2.columns == golden.columns
-    assert t2.num_rows == 41
-    assert len(t2.cells) == 1312
-    assert t2.cells == golden.cells
-    assert t2.cells[(2, 0)] == 341
-    assert t2.cells[(23, 8)] == 561
-    assert t2.cells[(38, 0)] == 38
-    assert t2.cells[(158, 0)] == 158
+    assert {c for c, _ in t2} == {c for c, _ in golden}
+    assert {i for _, i in t2} == set(range(41))
+    assert len(t2) == 1312
+    assert t2 == golden
+    assert t2[(2, 0)] == 341
+    assert t2[(23, 8)] == 561
+    assert t2[(38, 0)] == 38
+    assert t2[(158, 0)] == 158
     composites = set(cascade.qs())
-    assert all(v in composites for v in t2.cells.values())
+    assert all(v in composites for v in t2.values())
     # grid corners give the advertised base range
-    assert min(c + 1260 * i for c, i in t2.cells) == 2
-    assert max(c + 1260 * i for c, i in t2.cells) == 51602
+    assert min(c + 1260 * i for c, i in t2) == 2
+    assert max(c + 1260 * i for c, i in t2) == 51602
 
 
 def test_table2_columns_refine_table1_unknowns(cascade):
     t1 = gen_table1(cascade, gen_mod36(cascade))
-    unknown = sorted(c + o for (c, o), v in t1.cells.items() if v is None)
-    assert tuple(unknown) == gen_table2(cascade, t1).columns
+    unknown = sorted(c + o for (c, o), v in t1.items() if v is None)
+    assert unknown == sorted({c for c, _ in gen_table2(cascade, t1)})
     assert len(unknown) == 32
     # and their mod 36 reductions are the four undecided classes
     assert {u % 36 for u in unknown} == {2, 11, 14, 23}
@@ -137,6 +141,8 @@ def test_golden_loader_rejects_bad_cell(asset_copy):
 @pytest.mark.parametrize("name, loader, bad_row", [
     ("t3.csv", load_golden_t3, "x4,1,4,0,2"),
     ("mod36.csv", load_golden_mod36, "a,4"),
+    ("t3.csv", load_golden_t3, "4,1,4,0,1/0"),
+    ("t2.csv", load_golden_t2, "2,0,3_41"),
 ])
 def test_golden_loader_names_file_and_row_of_a_bad_key(asset_copy, name,
                                                        loader, bad_row):
@@ -146,6 +152,28 @@ def test_golden_loader_names_file_and_row_of_a_bad_key(asset_copy, name,
     with pytest.raises(GoldenFormatError) as exc:
         loader(asset_copy)
     assert name in str(exc.value) and bad_row in str(exc.value)
+
+
+@pytest.mark.parametrize("name, extra_row", [
+    ("t1.csv", "11,0,10"),       # a row given twice
+    ("t1.csv", "11,0,14"),       # a second value for one key
+    ("t3.csv", "4,1,4,999,2"),
+])
+def test_golden_loader_rejects_a_repeated_key(asset_copy, name, extra_row):
+    path = asset_copy / name
+    path.write_text(path.read_text() + extra_row + "\n")
+    with pytest.raises(GoldenFormatError) as exc:
+        LOADERS[name](asset_copy)
+    assert name in str(exc.value) and extra_row in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["mod36.csv", "t1.csv", "t2.csv"])
+def test_golden_loader_rejects_a_grid_with_no_rows(asset_copy, name):
+    path = asset_copy / name
+    path.write_text(path.read_text().split("\n")[0] + "\n")
+    with pytest.raises(GoldenFormatError) as exc:
+        LOADERS[name](asset_copy)
+    assert name in str(exc.value)
 
 
 def test_golden_loader_rejects_ragged_grid(asset_copy):
@@ -168,8 +196,8 @@ def test_golden_loader_missing_file(tmp_path):
 
 def test_directory_override_loads_same_data(asset_copy):
     assert load_golden_mod36(asset_copy) == load_golden_mod36()
-    assert load_golden_t1(asset_copy).cells == load_golden_t1().cells
-    assert load_golden_t2(asset_copy).cells == load_golden_t2().cells
+    assert load_golden_t1(asset_copy) == load_golden_t1()
+    assert load_golden_t2(asset_copy) == load_golden_t2()
     assert load_golden_t3(asset_copy) == load_golden_t3()
     assert load_golden_period(asset_copy) == load_golden_period()
 
@@ -197,16 +225,19 @@ def test_run_regressions_catches_tampering(cascade, census_report, asset_copy):
     assert summary.mismatches["t1"] == []
 
 
-def test_format_round_trip_through_loaders(cascade, census_report, tmp_path):
+def test_format_round_trip_through_loaders(cascade):
+    # the CSV writer reproduces each golden file byte for byte, from the
+    # derived grid and from the grid its loader reads
     m36 = gen_mod36(cascade)
     t1 = gen_table1(cascade, m36)
-    (tmp_path / "mod36.csv").write_text(format_mod36(m36, "csv"))
-    (tmp_path / "t1.csv").write_text(format_table1(t1, "csv"))
     t2 = gen_table2(cascade, t1)
-    (tmp_path / "t2.csv").write_text(format_table2(t2, "csv"))
-    assert load_golden_mod36(tmp_path) == load_golden_mod36()
-    assert load_golden_t1(tmp_path).cells == load_golden_t1().cells
-    assert load_golden_t2(tmp_path).cells == load_golden_t2().cells
+    for name, fmt, derived, golden in (
+            ("mod36.csv", format_mod36, m36, load_golden_mod36()),
+            ("t1.csv", format_table1, t1, load_golden_t1()),
+            ("t2.csv", format_table2, t2, load_golden_t2())):
+        text = (ASSET_DIR / name).read_text()
+        assert fmt(derived, "csv") == text, name
+        assert fmt(golden, "csv") == text, name
 
 
 def test_format_txt_smoke(cascade, census_report):
@@ -220,3 +251,41 @@ def test_format_txt_smoke(cascade, census_report):
     assert "341" in txt
     txt = format_t3(census_report)
     assert "10009487" in txt and "25437.66" in txt
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["", "?", "-1", "x", "1/0", "1e3", " 7", "1_0",
+                     "9" * 30]),
+    st.text(st.sampled_from("0123456789?,-./ x"), max_size=8))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(LOADERS)),
+       edit=st.sampled_from(["drop", "repeat", "line", "token"]),
+       at=st.integers(0, 10**6), token=TOKENS)
+def test_fuzzed_golden_files_load_or_name_the_file(fuzz_dir, name, edit, at,
+                                                   token):
+    # one line dropped, repeated or replaced, or one field of it replaced:
+    # the loader returns, or fails with the file named, and never crashes
+    lines = (ASSET_DIR / name).read_text().splitlines()
+    i = at % len(lines)
+    if edit == "drop":
+        del lines[i]
+    elif edit == "repeat":
+        lines.insert(i, lines[i])
+    elif edit == "line":
+        lines[i] = token
+    else:
+        fields = lines[i].split(",")
+        fields[at // len(lines) % len(fields)] = token
+        lines[i] = ",".join(fields)
+    (fuzz_dir / name).write_text("\n".join(lines) + "\n")
+    try:
+        LOADERS[name](fuzz_dir)
+    except GoldenFormatError as exc:
+        assert name in str(exc)
