@@ -38,6 +38,7 @@ __all__ = [
     "RootDescriptionError",
     "SkippedComposite",
     "build_cascade",
+    "class_profile",
     "derive_k_m",
     "family_check",
 ]
@@ -108,6 +109,38 @@ class Cascade:
             if b % m in event:
                 return q
         raise AssertionError("unreachable: the universal entry matches")
+
+
+def class_profile(cascade: Cascade, modulus: int, residue: int,
+                  max_distinct: int | None = None) -> list[int]:
+    """Distinct classify values attained on {b : b = residue (mod modulus)},
+    in decision-list order; stops after ``max_distinct`` values.
+
+    classify(b) is the least claim on b's cell across the per-prime claim
+    tables, and the class pins each table to the cells congruent to the
+    residue mod gcd(modulus, tracked power), one cell per table chosen
+    freely.  A claim on a pinned cell is therefore attained exactly when
+    every other table has a pinned cell claimed no earlier: when it does
+    not exceed the least per-table maximum.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    ledger = cascade.ledger
+    cells: dict[int, list[int]] = {}
+    for p, table in ledger.claims.items():
+        pin = gcd(modulus, ledger.moduli[p])
+        cells[p] = table[residue % pin::pin]
+    # an unclaimed cell is a table's largest possible value; finding one
+    # is much cheaper than max() over the long unpinned tables
+    bound = min(ledger.unclaimed if ledger.unclaimed in c else max(c)
+                for c in cells.values())
+    values: list[int] = []
+    for e in cascade.entries:
+        if e.q > bound or len(values) == max_distinct:
+            break
+        if e.prime is None or e.q in cells[e.prime]:
+            values.append(e.q)
+    return values
 
 
 def build_cascade() -> Cascade:

@@ -1,12 +1,21 @@
 """Counting over the decision list: densities, first bases, extremes.
 
-The scan for first bases classifies a contiguous base range in chunks.
-A chunk is a byte per base holding the index of its entry: the entries
-are laid down from last to first, each residue of an entry's event by one
-strided slice assignment, so the earliest entry that matches a base is the
-one left in its slot.  Two ``bytes.translate`` tables then turn indices
-into q values.  Chunks merge by per-entry minima, so any partition of the
-range gives the same answer.
+``classify_range`` classifies a contiguous base range at once.  It keeps
+a byte per base holding the index of its entry: the entries are laid down
+from last to first, each residue of an entry's event by one strided slice
+assignment, so the earliest entry that matches a base is the one left in
+its slot.  Two ``bytes.translate`` tables then turn indices into q values.
+
+The least base of each entry is found exactly, with no bound.  The bases
+below ``PREFIX`` are classified outright; every entry still unfound is
+then searched over its candidates only.  classify(b) is the least claim
+on b's cells across the ledger's per-prime tables, so each base q serves
+has the claim q on its cell mod the tracked power of q's prime, and its
+class mod ``CLASS_MODULUS`` has q in its ``class_profile``.  Together the
+two conditions pick a few residues mod their lcm; walking them in
+ascending blocks, the first base that classifies to q is its least base.
+The walk ends because the candidates hold every base q serves, and that
+set is periodic with positive density.
 
 The density and skip checks recount free cells one prime at a time, from
 raw congruences, so they do not lean on the event machinery or the claim
@@ -25,9 +34,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from math import lcm
 
-from .cascade import Cascade
+from .cascade import Cascade, Characterization, class_profile
 from .pretender import primary_pretender_oracle
 
 __all__ = [
@@ -45,8 +55,8 @@ __all__ = [
     "verify_skipped",
 ]
 
-DEFAULT_MAX_BASE = 11_000_000   # covers the latest first appearance, 10009487
-SCAN_CHUNK = 1_000_000          # bases per classify_range call in the scan
+PREFIX = 1 << 14        # bases classified outright by the first-base search
+CLASS_MODULUS = 180     # classes mod 4, 9 and 5 that prune its candidates
 RARITY_TOL = Fraction(1, 100)   # golden t3 truncates; the display rounds
 
 
@@ -90,27 +100,50 @@ class FirstBaseScan:
     seconds: float
 
 
-def first_bases(cascade: Cascade,
-                max_base: int = DEFAULT_MAX_BASE) -> FirstBaseScan:
-    """Least base for every entry, scanning [0, max_base) in chunks."""
+def _least_base(cascade: Cascade, entry: Characterization,
+                profiles: list[set[int]], start: int) -> int:
+    """Least base b with classify(b) == entry.q, given that none lies
+    below ``start``, trying only q's candidates (see the module
+    docstring)."""
+    q, width = entry.q, CLASS_MODULUS
+    classes = {r for r, profile in enumerate(profiles) if q in profile}
+    if entry.prime is None:   # the universal entry claims no cell
+        period, residues = width, sorted(classes)
+    else:
+        cell = cascade.ledger.moduli[entry.prime]
+        period = lcm(width, cell)
+        residues = sorted(
+            x for r, v in enumerate(cascade.ledger.claims[entry.prime])
+            if v == q for x in range(r, period, cell) if x % width in classes)
+    if not residues:
+        raise RuntimeError(f"entry {q}: the claim tables leave it no "
+                           "candidate base")
+    classify = cascade.classify
+    for block in count(start - start % period, period):
+        for r in residues:
+            if classify(block + r) == q:
+                return block + r
+
+
+def first_bases(cascade: Cascade, max_base: int | None = None
+                ) -> FirstBaseScan:
+    """Least base for every entry, exact and unbounded.  With
+    ``max_base``, the entries whose least base is not below it are
+    reported missing."""
     t0 = time.perf_counter()
-    found: dict[int, int] = {}
-    want = set(cascade.qs())
-    for lo in range(0, max_base, SCAN_CHUNK):
-        hi = min(lo + SCAN_CHUNK, max_base)
-        raw = classify_range(cascade, lo, hi).tobytes()
-        for q in list(want):
-            key = array("H", [q]).tobytes()
-            at = raw.find(key)
-            while at > 0 and at % 2:   # straddles two values: search on
-                at = raw.find(key, at + 1)
-            if at >= 0:
-                found[q] = lo + at // 2
-                want.discard(q)
-        if not want:
-            break
-    return FirstBaseScan(found=dict(sorted(found.items())),
-                         missing=tuple(sorted(want)),
+    head = classify_range(cascade, 0, PREFIX)
+    # a later pair overwrites an earlier one, so the least base is kept
+    first = dict(zip(reversed(head), range(PREFIX - 1, -1, -1)))
+    rest = [e for e in cascade.entries if e.q not in first]
+    if rest:
+        profiles = [set(class_profile(cascade, CLASS_MODULUS, r))
+                    for r in range(CLASS_MODULUS)]
+        for e in rest:
+            first[e.q] = _least_base(cascade, e, profiles, PREFIX)
+    found = {q: b for q, b in sorted(first.items())
+             if max_base is None or b < max_base}
+    return FirstBaseScan(found=found,
+                         missing=tuple(sorted(first.keys() - found.keys())),
                          seconds=time.perf_counter() - t0)
 
 
@@ -125,7 +158,7 @@ class CensusReport:
 
     @classmethod
     def build(cls, cascade: Cascade,
-              max_base: int = DEFAULT_MAX_BASE) -> "CensusReport":
+              max_base: int | None = None) -> "CensusReport":
         return cls(cascade, first_bases(cascade, max_base))
 
 

@@ -5,7 +5,7 @@ Subcommands:
   oracle <b>          the same value by direct search, for cross-checking
   cascade             the 132-entry decision list (txt, csv, or json)
   density <q>         exact base density and rarity of one entry
-  firstbases          scan for the least base reaching each entry (CSV)
+  firstbases          the least base reaching each entry (CSV)
   period              the 122-digit period constant and its checks
   table               render a residue-class display (mod36, t1, t2, t3)
   verify              regenerate every display and diff against golden data
@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from .cascade import build_cascade
-from .census import CensusReport, DEFAULT_MAX_BASE
+from .census import CensusReport
 from .period import minimality_witnesses, period_constant, periodicity_check, verify_lcm
 from .pretender import primary_pretender_oracle
 from .tables import (
@@ -111,7 +111,7 @@ def _cmd_period(args) -> int:
 
 def _cmd_table(args) -> int:
     cascade = build_cascade()
-    if args.which == "t3":   # t3 needs the first-base scan
+    if args.which == "t3":   # t3 needs the first bases
         text = format_t3(CensusReport.build(cascade), args.format)
     elif args.which == "mod36":
         text = format_mod36(gen_mod36(cascade), args.format)
@@ -201,8 +201,10 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("firstbases", help="scan for least base per entry")
-    p.add_argument("--max", type=_positive, default=DEFAULT_MAX_BASE)
+    p = sub.add_parser("firstbases", help="exact least base per entry")
+    p.add_argument("--max", type=_positive, default=None, metavar="N",
+                   help="leave out first bases of N or more, warn and "
+                        "exit 1 if any (default: no cap)")
     p.set_defaults(func=_cmd_firstbases)
 
     p = sub.add_parser("period", help="the period constant and its checks")

@@ -5,11 +5,13 @@ A residue class c mod M pins b mod p**v for each prime power p**v || M.
 Restricting the ledger's per-prime claim tables to the pinned cells tells
 exactly which entries claim members of the class; the class shows a
 definite value precisely when a single entry claims all of it.  That
-restriction produces the mod-36 display (values 4, 6, 9 or '?'), the 20x7
-grid over the undecided classes mod 1260 (values 10, 14, 15, 21 or '?'),
-and the 32 columns of the computed-value grid for the classes that stay
-undecided at every modulus dividing 1260.  Each display is a plain dict
-of cells keyed by its CSV key columns; its axes are read off the keys.
+restriction (``class_profile``, kept beside the ledger in ``cascade.py``
+since the first-base search uses it too) produces the mod-36 display
+(values 4, 6, 9 or '?'), the 20x7 grid over the undecided classes mod
+1260 (values 10, 14, 15, 21 or '?'), and the 32 columns of the
+computed-value grid for the classes that stay undecided at every modulus
+dividing 1260.  Each display is a plain dict of cells keyed by its CSV
+key columns; its axes are read off the keys.
 
 The golden copies of these displays ship as CSV assets.  They are data,
 transcribed once; nothing here derives from them -- they exist only to be
@@ -20,10 +22,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import gcd, prod
+from math import prod
 from pathlib import Path
 
-from .cascade import Cascade
+from .cascade import Cascade, class_profile
 from .census import CensusReport, Mismatch, rarity_regression
 from .period import period_constant
 
@@ -58,38 +60,6 @@ class GoldenFormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # derivation
-
-def class_profile(cascade: Cascade, modulus: int, residue: int,
-                  max_distinct: int | None = None) -> list[int]:
-    """Distinct classify values attained on {b : b = residue (mod modulus)},
-    in decision-list order; stops after ``max_distinct`` values.
-
-    classify(b) is the least claim on b's cell across the per-prime claim
-    tables, and the class pins each table to the cells congruent to the
-    residue mod gcd(modulus, tracked power), one cell per table chosen
-    freely.  A claim on a pinned cell is therefore attained exactly when
-    every other table has a pinned cell claimed no earlier: when it does
-    not exceed the least per-table maximum.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    ledger = cascade.ledger
-    cells: dict[int, list[int]] = {}
-    for p, table in ledger.claims.items():
-        pin = gcd(modulus, ledger.moduli[p])
-        cells[p] = table[residue % pin::pin]
-    # an unclaimed cell is a table's largest possible value; finding one
-    # is much cheaper than max() over the long unpinned tables
-    bound = min(ledger.unclaimed if ledger.unclaimed in c else max(c)
-                for c in cells.values())
-    values: list[int] = []
-    for e in cascade.entries:
-        if e.q > bound or len(values) == max_distinct:
-            break
-        if e.prime is None or e.q in cells[e.prime]:
-            values.append(e.q)
-    return values
-
 
 def _constant(cascade: Cascade, modulus: int, residue: int) -> int | None:
     """The one classify value of a class, None when it takes several."""
@@ -226,7 +196,7 @@ def load_golden_t3(directory=None) -> list[GoldenEntry]:
 
 def load_golden_period(directory=None) -> str:
     lines = _read_lines("period.txt", directory)
-    if len(lines) != 1 or not lines[0].isdigit():
+    if len(lines) != 1 or not (lines[0].isdigit() and lines[0].isascii()):
         raise GoldenFormatError("period.txt: expected one line of digits")
     return lines[0]
 
@@ -259,7 +229,7 @@ def run_regressions(cascade: Cascade, report: CensusReport | None = None,
                     directory=None) -> RegressionSummary:
     """Diff every derived display against its golden asset.  The per-entry
     summary (t3) is only checked when a census report is supplied, since
-    its first-base column needs the scan."""
+    its first-base column needs the first-base search."""
     d36 = gen_mod36(cascade)
     d1 = gen_table1(cascade, d36)
     g2 = load_golden_t2(directory)
@@ -332,7 +302,7 @@ def format_table2(t2: dict[tuple[int, int], int], fmt: str = "txt") -> str:
 def _entry_table(cascade: Cascade, fmt: str,
                  first_base: dict[int, int] | None = None) -> str:
     """One CSV line or JSON object per entry.  With ``first_base`` a
-    first_base column follows m, blank for an entry the scan missed."""
+    first_base column follows m, blank for an entry left out by a cap."""
     rows = []
     for e in cascade.entries:
         row = {"q": e.q, "k": e.root_degree, "m": e.root_modulus}

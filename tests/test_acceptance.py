@@ -108,8 +108,8 @@ def test_acceptance_04_first_bases(capsys, census_report):
           and not census_report.scan.missing
           and extremes(census_report).latest_first_base == (453, 10009487)
           and census_report.scan.seconds < 600.0)
-    verdict(capsys, 4, "all 132 first bases match after a scan to 1.1e7",
-            ok, f"scan took {census_report.scan.seconds:.1f}s, "
+    verdict(capsys, 4, "all 132 first bases match, found by exact search",
+            ok, f"search took {census_report.scan.seconds:.1f}s, "
                 f"max (453, 10009487)")
 
 

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pretenders import census, events
 from pretenders.cascade import Cascade, SkippedComposite, build_cascade
@@ -35,6 +35,18 @@ def test_classify_range_past_int64_and_negative(cascade):
         vals = classify_range(cascade, start, stop)
         assert vals.tolist() == [cascade.classify(b)
                                  for b in range(start, stop)], start
+
+
+# windows anywhere in +-10**30, or straddling 2**63
+STARTS = st.one_of(st.integers(-10**30, 10**30),
+                   st.integers(2**63 - 300, 2**63))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(STARTS, st.integers(0, 300))
+def test_classify_range_matches_classify_property(cascade, start, n):
+    assert (classify_range(cascade, start, start + n).tolist()
+            == [cascade.classify(b) for b in range(start, start + n)])
 
 
 def test_classify_range_rejects_a_reversed_window(cascade):
@@ -76,16 +88,37 @@ def test_scan_equals_first_occurrences_of_classify(cascade):
     assert set(scan.missing) == set(cascade.qs()) - set(first)
 
 
-def test_scan_skips_a_match_straddling_two_values():
-    # bases 0, 1, 2, ... classify as 300, 514, 513, 513, ...: the bytes of
-    # 513 (01 02) first occur across 300's high byte and 514's low byte
-    entry = SimpleNamespace
-    fake = SimpleNamespace(entries=(entry(q=300, root_modulus=4, event={0}),
-                                    entry(q=514, root_modulus=4, event={1}),
-                                    entry(q=513, root_modulus=1, event={0})))
-    fake.qs = lambda: [e.q for e in fake.entries]
-    assert classify_range(fake, 0, 4).tolist() == [300, 514, 513, 513]
-    assert first_bases(fake, max_base=4).found == {300: 0, 513: 2, 514: 1}
+def test_search_equals_first_occurrences_below_a_million(cascade,
+                                                         census_report):
+    # an independent scan: every entry it reaches, it reaches first where
+    # the search says, and the search puts every other entry past it
+    limit = 10**6
+    scan = classify_range(cascade, 0, limit)
+    first = dict(zip(reversed(scan), range(limit - 1, -1, -1)))
+    assert len(first) == 117
+    found = census_report.first_base
+    assert {q: found[q] for q in first} == first
+    late = {q: b for q, b in found.items() if q not in first}
+    assert len(late) == 15 and min(late.values()) >= limit
+
+
+def test_search_alone_finds_every_first_base(cascade, monkeypatch):
+    # with no bases classified outright, the candidate walk finds all 132,
+    # the universal entry's among them
+    monkeypatch.setattr(census, "PREFIX", 0)
+    golden = {row.q: row.first_base for row in load_golden_t3()}
+    assert first_bases(cascade).found == golden
+
+
+def test_search_stops_when_the_claim_tables_leave_no_candidate():
+    # wiped claim tables give an entry no candidate: an error naming it,
+    # not an endless walk
+    wiped = build_cascade()
+    ledger = wiped.ledger
+    for table in ledger.claims.values():
+        table[:] = [ledger.unclaimed] * len(table)
+    with pytest.raises(RuntimeError, match="entry 93: .* no candidate"):
+        first_bases(wiped)
 
 
 def test_extremes(census_report):

@@ -140,7 +140,9 @@ def _repeat_4_and_break_453(text):
     ("t3.csv", _repeat_4_and_break_453),
     ("t2.csv", lambda text: "class,row,value\n"),
     ("t1.csv", lambda text: text + "11,0,10\n"),
-], ids=["t3-repeated-q", "t2-header-only", "t1-repeated-key"])
+    ("period.txt", lambda text: text.strip() + "\u00b2\n"),
+], ids=["t3-repeated-q", "t2-header-only", "t1-repeated-key",
+        "period-superscript-digit"])
 def test_verify_rejects_repeated_rows_and_empty_grids(capsys, tmp_path, name,
                                                       edit):
     for asset in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):
