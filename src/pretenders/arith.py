@@ -7,10 +7,10 @@ smallest-prime-factor table, which gives primality, full factorizations
 into maximal prime powers, and the composite list in one pass.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 __all__ = [
     "PrimePower",
@@ -21,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PrimePower:
+class PrimePower(NamedTuple):
     """A maximal prime-power divisor p**e of some integer."""
 
     p: int

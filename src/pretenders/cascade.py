@@ -22,9 +22,9 @@ select the same new bases (the surplus roots of 0 are always preempted).
 never uses it, walking the exact event sets instead.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import Sieve, render_decimal, sieve_and_factor
 from .events import PreemptionLedger, composite_event
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Characterization:
+class Characterization(NamedTuple):
     """One decision-list entry.  Its insertion-time state lives in the
     ledger's claim tables: the cells of ``prime`` still free when q was
     reached hold a value >= q, and the cells q claimed hold q itself."""
@@ -66,8 +65,7 @@ class Characterization:
         return render_decimal(self.rarity, 2)
 
 
-@dataclass(frozen=True)
-class SkippedComposite:
+class SkippedComposite(NamedTuple):
     """A composite whose residual was empty: it never wins a base."""
 
     q: int
@@ -183,8 +181,7 @@ class RootDescriptionError(RuntimeError):
     """An entry's k-th-roots description failed verification."""
 
 
-@dataclass(frozen=True)
-class RootDescription:
+class RootDescription(NamedTuple):
     q: int
     degree: int
     modulus: int
@@ -220,8 +217,7 @@ def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
     return RootDescription(q, degree, m, formula, formula - entry.event)
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     matches: bool
     missing: tuple[int, ...]   # in the closed-form family, not in the cascade
     extra: tuple[int, ...]     # in the cascade, not in the family

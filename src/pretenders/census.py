@@ -31,12 +31,13 @@ import sys
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import lcm
+from math import floor, lcm
+from typing import NamedTuple
 
+from .arith import render_decimal
 from .cascade import Cascade, Characterization, class_profile
 from .pretender import primary_pretender_oracle
 
@@ -57,7 +58,6 @@ __all__ = [
 
 PREFIX = 1 << 14        # bases classified outright by the first-base search
 CLASS_MODULUS = 180     # classes mod 4, 9 and 5 that prune its candidates
-RARITY_TOL = Fraction(1, 100)   # golden t3 truncates; the display rounds
 
 
 def classify_range(cascade: Cascade, start: int, stop: int) -> array:
@@ -93,8 +93,7 @@ def classify_range(cascade: Cascade, start: int, stop: int) -> array:
     return out
 
 
-@dataclass
-class FirstBaseScan:
+class FirstBaseScan(NamedTuple):
     found: dict[int, int]
     missing: tuple[int, ...]
     seconds: float
@@ -147,8 +146,7 @@ def first_bases(cascade: Cascade, max_base: int | None = None
                          seconds=time.perf_counter() - t0)
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     cascade: Cascade
     scan: FirstBaseScan
 
@@ -162,8 +160,7 @@ class CensusReport:
         return cls(cascade, first_bases(cascade, max_base))
 
 
-@dataclass(frozen=True)
-class Extremes:
+class Extremes(NamedTuple):
     latest_first_base: tuple[int, int]     # (q, base)
     rarest: tuple[int, Fraction]           # (q, rarity)
     first_base_ties: tuple[int, ...]
@@ -180,8 +177,7 @@ def extremes(report: CensusReport) -> Extremes:
     return Extremes((q_fb, fb[q_fb]), (q_r, rar[q_r]), fb_ties, r_ties)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     table: str
     key: object
     expected: object
@@ -190,13 +186,12 @@ class Mismatch:
 
 def rarity_regression(report: CensusReport, golden_rows) -> list[Mismatch]:
     """Diff the derived per-entry summary against golden (q, k, m,
-    first_base, rarity) rows, keyed (q, field); rarity compares as
-    |delta| <= RARITY_TOL after rendering to two decimals.  Fields are
-    compared only when the rows hold each entry's q exactly once.
+    first_base, rarity) rows, keyed (q, field).  Fields are compared
+    only when the rows hold each entry's q exactly once.
 
-    The golden rarity column truncates the exact rarity to two places,
-    while ``rarity_display`` rounds half-to-even, so an entry whose
-    display rounds up sits exactly 0.01 away: inside the tolerance.
+    The golden rarity column truncates the exact rarity to two places
+    (``rarity_display`` rounds half-to-even instead), so it must equal
+    that truncation exactly.
     """
     out: list[Mismatch] = []
     derived = {e.q: e for e in report.cascade.entries}
@@ -215,9 +210,10 @@ def rarity_regression(report: CensusReport, golden_rows) -> list[Mismatch]:
         if mine_first != row.first_base:
             out.append(Mismatch("t3", (row.q, "first_base"),
                                 row.first_base, mine_first))
-        mine = e.rarity_display
-        if abs(Fraction(mine) - Fraction(row.rarity)) > RARITY_TOL:
-            out.append(Mismatch("t3", (row.q, "rarity"), row.rarity, mine))
+        mine = Fraction(floor(100 * e.rarity), 100)
+        if Fraction(row.rarity) != mine:
+            out.append(Mismatch("t3", (row.q, "rarity"), row.rarity,
+                                render_decimal(mine)))
     return out
 
 

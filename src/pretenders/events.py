@@ -17,8 +17,8 @@ cell counts.  Tracked exponents are the maximal prime powers occurring
 in any composite up to the sieve limit, derived from the sieve.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import PrimePower, Sieve
 
@@ -37,8 +37,7 @@ class FormViolation(RuntimeError):
     bookkeeping.  Never expected to fire; kept as a checked assumption."""
 
 
-@dataclass(frozen=True)
-class PrimePowerEvent:
+class PrimePowerEvent(NamedTuple):
     q: int
     pp: PrimePower
     residues: frozenset[int]
@@ -69,8 +68,7 @@ def composite_event(q: int, sieve: Sieve) -> tuple[PrimePowerEvent, ...]:
     return tuple(prime_power_event(q, pp) for pp in sieve.factorization(q))
 
 
-@dataclass
-class Residual:
+class Residual(NamedTuple):
     """Unclaimed slice of a composite's event set at some ledger state.
 
     ``free`` holds, for every prime the slice constrains, the number of

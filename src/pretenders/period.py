@@ -10,8 +10,8 @@ differently, so no proper divisor of N is a period.
 """
 
 import random
-from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .arith import crt, sieve_and_factor
 from .cascade import Cascade
@@ -44,8 +44,7 @@ def period_constant() -> int:
             * prod(p for p in sieve.primes if p <= largest_repeated))
 
 
-@dataclass(frozen=True)
-class LcmCheck:
+class LcmCheck(NamedTuple):
     equal: bool
     entry_lcm: int
     period_value: int
@@ -58,8 +57,7 @@ def verify_lcm(cascade: Cascade) -> LcmCheck:
     return LcmCheck(entry_lcm == value, entry_lcm, value)
 
 
-@dataclass(frozen=True)
-class PeriodicityReport:
+class PeriodicityReport(NamedTuple):
     period: int
     checked: int
     failures: tuple[int, ...]
@@ -84,8 +82,7 @@ def periodicity_check(cascade: Cascade, samples: int = 1000,
     return PeriodicityReport(n, len(bases), failures)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     prime: int
     base: int
     shifted: int        # base + N/prime
@@ -93,8 +90,7 @@ class Witness:
     shifted_value: int  # classify(shifted), must differ
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     witnesses: dict[int, Witness]
     failed: tuple[int, ...]
 
@@ -116,21 +112,13 @@ def minimality_witnesses(cascade: Cascade) -> MinimalityReport:
     """
     n = period_constant()
     ledger = cascade.ledger
-    target_exp: dict[int, int] = {}
-    value = n
-    for p in ledger.moduli:
-        e = 0
-        while value % p == 0:
-            value //= p
-            e += 1
-        if e:
-            target_exp[p] = e
-    assert value == 1, "period must factor over the tracked primes"
+    # the p-part of N for each tracked prime p
+    parts = {p: gcd(n, m) for p, m in ledger.moduli.items()}
+    assert prod(parts.values()) == n, "N must factor over the tracked powers"
 
     witnesses: dict[int, Witness] = {}
     failed: list[int] = []
-    for p, exp in sorted(target_exp.items()):
-        target_modulus = p ** exp
+    for p, target_modulus in parts.items():
         entry = next((e for e in cascade.entries
                       if e.prime == p and e.root_modulus == target_modulus),
                      None)

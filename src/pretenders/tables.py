@@ -19,11 +19,11 @@ diffed against.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import prod
 from pathlib import Path
+from typing import NamedTuple
 
 from .cascade import Cascade, class_profile
 from .census import CensusReport, Mismatch, rarity_regression
@@ -169,8 +169,7 @@ def load_golden_t2(directory=None) -> dict[tuple[int, int], int]:
     return cells
 
 
-@dataclass(frozen=True)
-class GoldenEntry:
+class GoldenEntry(NamedTuple):
     q: int
     k: int
     m: int
@@ -213,8 +212,7 @@ def _diff_cells(table: str, expected: dict, actual: dict) -> list[Mismatch]:
     return out
 
 
-@dataclass
-class RegressionSummary:
+class RegressionSummary(NamedTuple):
     mismatches: dict[str, list[Mismatch]]
 
     @property

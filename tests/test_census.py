@@ -130,6 +130,20 @@ def test_extremes(census_report):
     assert ex.rarity_ties == (543,)
 
 
+@pytest.mark.parametrize("record, field", [
+    (lambda report: report.cascade.entries[0], "density"),
+    (lambda report: report, "scan"),
+    (lambda report: report.scan, "found"),
+], ids=["Characterization", "CensusReport", "FirstBaseScan"])
+def test_records_cannot_be_reassigned(census_report, record, field):
+    # a shared cascade and the reports built on it stay as derived
+    target = record(census_report)
+    before = getattr(target, field)
+    with pytest.raises(AttributeError):
+        setattr(target, field, None)
+    assert getattr(target, field) is before
+
+
 def test_rarity_regression_clean(census_report):
     assert rarity_regression(census_report, load_golden_t3()) == []
 
@@ -141,9 +155,12 @@ def test_rarity_regression_flags_out_of_tolerance(census_report):
     fiddled.append(type(bad)(bad.q, bad.k, bad.m, bad.first_base, "216.58"))
     hits = rarity_regression(census_report, fiddled)
     assert [m.key for m in hits] == [(22, "rarity")]
-    # within tolerance: one cent off passes
+    # the golden column is the exact truncation: one cent off is caught,
+    # and the truncation is reported
     fiddled[-1] = type(bad)(bad.q, bad.k, bad.m, bad.first_base, "216.57")
-    assert rarity_regression(census_report, fiddled) == []
+    assert [(m.key, m.expected, m.actual)
+            for m in rarity_regression(census_report, fiddled)] == [
+        ((22, "rarity"), "216.57", "216.56")]
 
 
 def test_rarity_regression_counts_each_q(census_report):

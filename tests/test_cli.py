@@ -115,6 +115,21 @@ def test_verify_flags_mismatch(capsys, tmp_path):
     assert "mod36: 1 mismatches" in out
 
 
+def test_verify_flags_a_rarity_one_cent_off(capsys, tmp_path):
+    # the golden rarity is the exact truncation, so 0.01 off is a mismatch
+    for name in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):
+        shutil.copy(ASSET_DIR / name, tmp_path / name)
+    text = (tmp_path / "t3.csv").read_text()
+    assert "\n4,1,4,0,2\n" in text
+    (tmp_path / "t3.csv").write_text(text.replace("\n4,1,4,0,2\n",
+                                                  "\n4,1,4,0,2.01\n"))
+    code, out, _ = run(capsys, "verify", "--golden", str(tmp_path),
+                       "--oracle-limit", "0")
+    assert code == 1
+    assert "t3: 1 mismatches" in out
+    assert "(4, 'rarity'): expected 2.01, got 2" in out
+
+
 @pytest.mark.parametrize("name, bad_row", [("t3.csv", "x4,1,4,0,2"),
                                            ("mod36.csv", "a,4")])
 def test_verify_names_a_golden_file_with_a_bad_key(capsys, tmp_path, name,
@@ -213,3 +228,17 @@ def test_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("q,k,m,first_base")
     assert proc.stdout.endswith("\n341\n")
+
+
+def test_runs_without_dataclasses():
+    # records are NamedTuples: the CLI must not pull dataclasses (and
+    # with it inspect) into its start-up
+    script = ("import sys\n"
+              "sys.modules['dataclasses'] = None\n"
+              "from pretenders.cli import main\n"
+              "assert main(['classify', '2']) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "341\n"
