@@ -89,7 +89,6 @@ def render_decimal(x: Fraction, places: int = 2) -> str:
     """
     if places < 0:
         raise ValueError("places must be nonnegative")
-    sign = "-" if x < 0 else ""
     num, den = abs(x.numerator), x.denominator
     scaled, rem = divmod(num * 10 ** places, den)
     if 2 * rem > den or (2 * rem == den and scaled % 2 == 1):
@@ -98,7 +97,8 @@ def render_decimal(x: Fraction, places: int = 2) -> str:
     if places:
         text = text[:-places] + "." + text[-places:]
         text = text.rstrip("0").rstrip(".")
-    return sign + text if text else "0"
+    # no sign on a value that rounds to zero
+    return "-" + text if x < 0 and scaled else text
 
 
 def crt(residues: list[int], moduli: list[int]) -> int:

@@ -153,10 +153,8 @@ def build_cascade() -> Cascade:
         if res.density == 0:
             skipped.append(SkippedComposite(q, res.empty_primes))
             continue
-        ledger.ingest(events)   # raises FormViolation on several primes
-        nontrivial = [ev for ev in events if not ev.trivial]
-        if nontrivial:
-            ev = nontrivial[0]
+        ev = ledger.ingest(events)   # raises FormViolation on several primes
+        if ev is not None:
             p = ev.pp.p
             phi = (p - 1) * ev.modulus // p
             entry = Characterization(

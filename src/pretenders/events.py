@@ -129,17 +129,19 @@ class PreemptionLedger:
             den *= self.moduli[p]
         return Residual(q, free, Fraction(num, den))
 
-    def ingest(self, events: tuple[PrimePowerEvent, ...]) -> None:
-        """Claim a winner's unclaimed event cells.  The winner must
-        constrain at most one prime; otherwise the product structure would
-        be lost and FormViolation is raised."""
+    def ingest(self, events: tuple[PrimePowerEvent, ...]
+               ) -> PrimePowerEvent | None:
+        """Claim a winner's unclaimed event cells and return the event
+        claimed, or None for the universal pretender, which constrains no
+        prime.  The winner must constrain at most one prime; otherwise the
+        product structure would be lost and FormViolation is raised."""
         nontrivial = [ev for ev in events if not ev.trivial]
         if len(nontrivial) > 1:
             primes = [ev.pp.p for ev in nontrivial]
             raise FormViolation(
                 f"winner {events[0].q} constrains several primes {primes}")
         if not nontrivial:
-            return  # universal pretender: nothing left to claim after it
+            return None   # universal pretender: nothing left to claim after it
         ev = nontrivial[0]
         table = self.claims[ev.pp.p]
         for r in ev.residues:
@@ -147,3 +149,4 @@ class PreemptionLedger:
                 if table[i] == self.unclaimed:
                     table[i] = ev.q
         self._free[ev.pp.p] = table.count(self.unclaimed)
+        return ev

@@ -9,11 +9,14 @@ brute-force search below always terminates inside the composite list.
 The classical *Fermat pseudoprime* condition b**(q-1) = 1 (mod q) is the
 unit form of the same congruence; it is strictly stronger at bases
 sharing a factor with q and impossible altogether for base 2 at even q.
+
+Both tests first prove q composite: by the sieve up to 561, then by
+strong tests to the first 13 prime bases, which are exact below PSI_13.
+From PSI_13 on they refuse with a ValueError rather than trust an
+unproven primality test.
 """
 
-from math import isqrt
-
-from .arith import Sieve, sieve_and_factor
+from .arith import sieve_and_factor
 
 __all__ = [
     "UNIVERSAL_PRETENDER",
@@ -43,23 +46,21 @@ def _require_composite(q: int) -> None:
     if q < 4:
         raise NotCompositeError(f"modulus {q} is below the least composite 4")
     if q <= UNIVERSAL_PRETENDER:
-        if _sieve().is_prime(q):
+        if sieve_and_factor(UNIVERSAL_PRETENDER).is_prime(q):
             raise NotCompositeError(f"modulus {q} is prime")
         return
+    if q >= PSI_13:
+        raise ValueError(f"modulus {q} is not below {PSI_13}, the bound "
+                         "of the proven 13-base strong test")
     if _is_prime(q):
         raise NotCompositeError(f"modulus {q} is prime")
 
 
 def _is_prime(n: int) -> bool:
-    """Primality of n > 41: strong tests to the first 13 prime bases,
-    exact below PSI_13; from there on BPSW, a strong base-2 test plus a
-    strong Lucas test with Selfridge's parameters (Baillie and Wagstaff
-    1980), with no known counterexample."""
+    """Primality of 41 < n < PSI_13, exact in that range."""
     if n % 2 == 0:
         return False
-    if n < PSI_13:
-        return all(_strong_probable_prime(n, a) for a in _SPRP_BASES)
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+    return all(_strong_probable_prime(n, a) for a in _SPRP_BASES)
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -73,57 +74,6 @@ def _strong_probable_prime(n: int, a: int) -> bool:
         if x == n - 1:
             return True
     return False
-
-
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a / n) for odd n > 0."""
-    a %= n
-    sign = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test for odd n with Selfridge's method A: D is the
-    first of 5, -7, 9, -11, ... with (D / n) = -1, P = 1, Q = (1 - D) / 4.
-    Checks U_d = 0 or V_(d 2^r) = 0 (mod n) for some r < s, n + 1 = d 2^s."""
-    if isqrt(n) ** 2 == n:
-        return False   # no D with (D / n) = -1 exists for a square
-    d = 5
-    while (j := _jacobi(d, n)) != -1:
-        if j == 0:
-            return False   # |D| shares a factor with n, proper as n > |D|
-        d = -d - 2 if d > 0 else -d + 2
-    q = (1 - d) // 4
-    s = ((n + 1) & -(n + 1)).bit_length() - 1
-    # U_k, V_k and Q^k mod n for k running through the bits of (n + 1) / 2^s
-    u, v, qk = 1, 1, q % n
-    for bit in bin((n + 1) >> s)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
-        if bit == "1":
-            u, v = u + v, d * u + v          # twice U_(k+1) and V_(k+1), P = 1
-            u = (u + n if u % 2 else u) // 2 % n
-            v = (v + n if v % 2 else v) // 2 % n
-            qk = qk * q % n
-    if u == 0 or v == 0:
-        return True
-    for _ in range(s - 1):
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
-        if v == 0:
-            return True
-    return False
-
-
-def _sieve() -> Sieve:
-    return sieve_and_factor(UNIVERSAL_PRETENDER)
 
 
 def is_prime_pretender(q: int, b: int) -> bool:
@@ -145,7 +95,7 @@ def primary_pretender_oracle(b: int) -> int:
     Ground truth for the fast classifier; always returns a value
     <= UNIVERSAL_PRETENDER.
     """
-    for q in _sieve().composites:
+    for q in sieve_and_factor(UNIVERSAL_PRETENDER).composites:
         r = b % q
         if pow(r, q, q) == r:
             return q

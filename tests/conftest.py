@@ -1,15 +1,51 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from pretenders import build_cascade
 from pretenders.census import CensusReport
 
+# far above the slowest test (about 1 s), so only a hang reaches it
+TIME_LIMIT_S = 30
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds``, so a hang fails
+    the test that reaches it instead of stalling the run.  Not nestable:
+    the inner block would cancel the outer alarm."""
+    if not hasattr(signal, "setitimer"):   # no SIGALRM on Windows
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture(autouse=True)
+def bounded():
+    # every test, the first-base search and the sieve among them; the
+    # session fixtures below are set up before this and bound themselves
+    with time_limit(TIME_LIMIT_S):
+        yield
+
 
 @pytest.fixture(scope="session")
 def cascade():
-    return build_cascade()
+    with time_limit(TIME_LIMIT_S):
+        return build_cascade()
 
 
 @pytest.fixture(scope="session")
 def census_report(cascade):
     # one full scan per session; everything downstream reuses it
-    return CensusReport.build(cascade)
+    with time_limit(TIME_LIMIT_S):
+        return CensusReport.build(cascade)

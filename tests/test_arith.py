@@ -31,9 +31,7 @@ def test_sieve_primes_and_composites():
 
 def test_sieve_factorization_reassembles():
     s = Sieve(2000)
-    rng = random.Random(101)
-    for _ in range(300):
-        n = rng.randrange(2, 2001)
+    for n in range(2, 2001):
         facs = s.factorization(n)
         prod = 1
         for pp in facs:
@@ -50,6 +48,12 @@ class TestRenderDecimal:
         assert render_decimal(Fraction(2)) == "2"
         assert render_decimal(Fraction(45, 2)) == "22.5"
         assert render_decimal(Fraction(155920)) == "155920"
+
+    def test_negative_and_below_the_last_place(self):
+        assert render_decimal(Fraction(-45, 2)) == "-22.5"
+        assert render_decimal(Fraction(1, 1000)) == "0"
+        assert render_decimal(Fraction(-1, 1000)) == "0"
+        assert render_decimal(Fraction(0)) == "0"
 
     def test_half_to_even_ties(self):
         assert render_decimal(Fraction(5, 2), 0) == "2"

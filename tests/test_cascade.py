@@ -10,6 +10,7 @@ from pretenders import (
     family_check,
     primary_pretender_oracle,
 )
+from pretenders.cascade import RootDescriptionError
 from pretenders.period import period_constant
 from pretenders.tables import format_cascade, load_golden_t3
 
@@ -100,6 +101,20 @@ def test_derive_k_m_surplus_is_preempted_only(cascade):
     # description stays exact because 5,10,15,20 were claimed earlier
     rd = derive_k_m(cascade, 25)
     assert rd.surplus == frozenset({5, 10, 15, 20})
+
+
+def test_derive_k_m_catches_a_cell_claimed_outside_the_roots():
+    # 10 also claims one cell that was free when 10 was reached but lies
+    # outside its k-th roots: check (c) must see the extra new base
+    corrupt = build_cascade()
+    entry = corrupt.entry_for(10)
+    formula = derive_k_m(corrupt, 10).formula_set
+    claims = corrupt.ledger.claims[entry.prime]
+    cell = next(r for r, v in enumerate(claims)
+                if v > 10 and r % entry.root_modulus not in formula)
+    claims[cell] = 10
+    with pytest.raises(RootDescriptionError, match="entry 10: surplus"):
+        derive_k_m(corrupt, 10)
 
 
 def test_entry_169_claims_primitive_twelfth_roots(cascade):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pretenders import cli
 from pretenders.cascade import build_cascade
 from pretenders.cli import main
 
@@ -75,6 +76,26 @@ def test_firstbases_truncated_scan_warns(capsys):
     assert "warning" in err
 
 
+def test_firstbases_cap_is_exclusive(capsys):
+    # 453's first base, 10009487, is the largest: a cap of exactly that
+    # leaves 453 alone out, and one more keeps every entry
+    code, out, err = run(capsys, "firstbases", "--max", "10009487")
+    assert code == 1
+    assert err == "warning: no base below 10009487 reaches: 453\n"
+    assert "\n453,2,151,," in out and "10009487" not in out
+    code, out, err = run(capsys, "firstbases", "--max", "10009488")
+    assert (code, err) == (0, "")
+    assert "\n453,2,151,10009487," in out
+
+
+def test_firstbases_cap_of_one(capsys):
+    # only 4's first base, 0, lies below 1: a valid cap, so exit 1, not 2
+    code, out, err = run(capsys, "firstbases", "--max", "1")
+    assert code == 1
+    assert out.split("\n")[1:3] == ["4,1,4,0,1,2,2", "6,1,3,,1,3,3"]
+    assert err.startswith("warning: no base below 1 reaches: 6, 9, 10, ")
+
+
 def test_period_command(capsys):
     code, out, _ = run(capsys, "period")
     assert code == 0 and "digits: 122" in out
@@ -84,6 +105,36 @@ def test_period_command(capsys):
     assert code == 0
     assert "periodicity: 40 bases checked, 0 failures" in out
     assert "witnesses for 59 primes" in out
+
+
+@pytest.mark.parametrize("check, fail, line", [
+    ("verify_lcm", lambda rep: rep._replace(equal=False),
+     "lcm of entry moduli matches: False"),
+    ("periodicity_check", lambda rep: rep._replace(failures=(0,)),
+     "periodicity: 10 bases checked, 1 failures"),
+    ("minimality_witnesses", lambda rep: rep._replace(failed=(2,)),
+     "minimality: witnesses for 59 primes, 1 unwitnessed"),
+])
+def test_period_exits_1_on_a_failed_check(capsys, monkeypatch, check, fail,
+                                          line):
+    real = getattr(cli, check)
+    monkeypatch.setattr(cli, check, lambda *a, **kw: fail(real(*a, **kw)))
+    code, out, _ = run(capsys, "period", "--samples", "10", "--minimality")
+    assert code == 1
+    assert line in out.split("\n")
+
+
+@pytest.mark.parametrize("which, head", [
+    ("t1", ["b mod 180   2  11  14  23  38  47  50  59  74  83",
+            "       +0   ?  10  14   ?   ?   ?  10  15  15  21"]),
+    ("t2", ["row    2   23   38   47  122  158  227  263  338  347",
+            "  0  341   22   38   46   22  158   49   33   26   87"]),
+])
+def test_table_txt_layout(capsys, which, head):
+    # the first two lines, cut at ten columns, byte for byte
+    code, out, _ = run(capsys, "table", "--which", which)
+    assert code == 0
+    assert [line[:len(h)] for line, h in zip(out.split("\n"), head)] == head
 
 
 def test_table_command(capsys):
@@ -102,6 +153,15 @@ def test_verify_clean(capsys):
     assert code == 0
     assert "t2: ok" in out
     assert "oracle agreement on [0, 2000]: ok" in out
+
+
+def test_verify_exits_1_when_the_oracle_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "primary_pretender_oracle", lambda b: 4)
+    code, out, _ = run(capsys, "verify", "--oracle-limit", "10")
+    assert code == 1
+    assert "t2: ok" in out   # the golden diffs still pass
+    # classify gives 4 only to the bases 0, 1, 4, 5, 8, 9 of [0, 10]
+    assert "oracle agreement on [0, 10]: 5 disagreements" in out
 
 
 def test_verify_flags_mismatch(capsys, tmp_path):
@@ -155,9 +215,10 @@ def _repeat_4_and_break_453(text):
     ("t3.csv", _repeat_4_and_break_453),
     ("t2.csv", lambda text: "class,row,value\n"),
     ("t1.csv", lambda text: text + "11,0,10\n"),
+    ("t1.csv", lambda text: text.replace("residue,", "class,", 1)),
     ("period.txt", lambda text: text.strip() + "\u00b2\n"),
 ], ids=["t3-repeated-q", "t2-header-only", "t1-repeated-key",
-        "period-superscript-digit"])
+        "t1-bad-header", "period-superscript-digit"])
 def test_verify_rejects_repeated_rows_and_empty_grids(capsys, tmp_path, name,
                                                       edit):
     for asset in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):

@@ -89,7 +89,8 @@ def test_ledger_residual_before_any_ingest():
 
 def test_ledger_ingest_then_preempt():
     ledger = PreemptionLedger(SIEVE)
-    ledger.ingest(composite_event(4, SIEVE))
+    events = composite_event(4, SIEVE)
+    assert ledger.ingest(events) == events[0]   # the event it claimed
     # 4 claims every lift of 0, 1 mod 4 to mod 2^9, and nothing elsewhere
     assert ledger.claims[2] == [4 if r % 4 < 2 else ledger.unclaimed
                                 for r in range(512)]
@@ -114,7 +115,7 @@ def test_ledger_rejects_two_nontrivial_components():
 
 def test_ledger_ingest_of_all_trivial_is_noop():
     ledger = PreemptionLedger(SIEVE)
-    ledger.ingest(composite_event(561, SIEVE))
+    assert ledger.ingest(composite_event(561, SIEVE)) is None
     assert all(set(t) == {ledger.unclaimed} for t in ledger.claims.values())
 
 
@@ -131,3 +132,9 @@ def test_blocked_never_fills_a_prime():
             ledger.ingest(events)
         for p, table in ledger.claims.items():
             assert ledger.unclaimed in table, f"prime {p} exhausted after q={q}"
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 7])
+def test_composite_event_rejects_a_non_composite(q):
+    with pytest.raises(ValueError, match="not composite"):
+        composite_event(q, SIEVE)

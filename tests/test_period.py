@@ -3,6 +3,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from pretenders.cascade import Cascade
 from pretenders.period import (
     minimality_witnesses,
     period_constant,
@@ -111,3 +112,16 @@ def test_classify_is_periodic_property(cascade, b):
 @given(BASES)
 def test_classify_matches_oracle_property(cascade, b):
     assert cascade.classify(b) == primary_pretender_oracle(b)
+
+
+def test_a_classify_of_period_one_has_no_witness(cascade):
+    # a classify that gives every base one value has period 1, so no
+    # prime may get a witness; at p = 2 that value is the entry's own q,
+    # and only the equal shifted value rules the witness out
+    value = minimality_witnesses(cascade).witnesses[2].value
+    flat = Cascade(cascade.entries, cascade.ledger, cascade.skipped,
+                   cascade.sieve)
+    flat.classify = lambda b: value
+    rep = minimality_witnesses(flat)
+    assert not rep.ok and not rep.witnesses
+    assert rep.failed == tuple(cascade.ledger.moduli)

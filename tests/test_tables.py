@@ -128,7 +128,7 @@ def test_table2_columns_refine_table1_unknowns(cascade):
 
 def test_golden_loader_rejects_bad_header(asset_copy):
     (asset_copy / "mod36.csv").write_text("res,val\n0,4\n")
-    with pytest.raises(GoldenFormatError):
+    with pytest.raises(GoldenFormatError, match="expected header"):
         load_golden_mod36(asset_copy)
 
 
