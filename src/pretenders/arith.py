@@ -15,10 +15,15 @@ from typing import NamedTuple
 __all__ = [
     "PrimePower",
     "Sieve",
+    "UNIVERSAL_PRETENDER",
     "crt",
     "render_decimal",
     "sieve_and_factor",
 ]
+
+# Smallest composite that pretends to every base (verified in the tests
+# by enumerating all residues); it bounds the one sieve of the package.
+UNIVERSAL_PRETENDER = 561
 
 
 class PrimePower(NamedTuple):
@@ -75,28 +80,24 @@ class Sieve:
 
 
 @lru_cache(maxsize=None)
-def sieve_and_factor(limit: int) -> Sieve:
-    return Sieve(limit)
+def sieve_and_factor() -> Sieve:
+    """The one sieve, to ``UNIVERSAL_PRETENDER``, built on first use."""
+    return Sieve(UNIVERSAL_PRETENDER)
 
 
-def render_decimal(x: Fraction, places: int = 2) -> str:
-    """Render an exact rational to ``places`` decimals, half-to-even,
-    then trim trailing zeros (and a bare trailing point).
+def render_decimal(x: Fraction) -> str:
+    """Render an exact rational to two decimals, half-to-even, then trim
+    trailing zeros (and a bare trailing point).
 
     render_decimal(Fraction(45, 2))    -> '22.5'
     render_decimal(Fraction(1925, 8))  -> '240.62'   (exact tie, 2 is even)
     render_decimal(Fraction(2))        -> '2'
     """
-    if places < 0:
-        raise ValueError("places must be nonnegative")
     num, den = abs(x.numerator), x.denominator
-    scaled, rem = divmod(num * 10 ** places, den)
+    scaled, rem = divmod(num * 100, den)
     if 2 * rem > den or (2 * rem == den and scaled % 2 == 1):
         scaled += 1
-    text = str(scaled).rjust(places + 1, "0")
-    if places:
-        text = text[:-places] + "." + text[-places:]
-        text = text.rstrip("0").rstrip(".")
+    text = f"{scaled // 100}.{scaled % 100:02}".rstrip("0").rstrip(".")
     # no sign on a value that rounds to zero
     return "-" + text if x < 0 and scaled else text
 

@@ -26,9 +26,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .arith import Sieve, render_decimal, sieve_and_factor
+from .arith import UNIVERSAL_PRETENDER, render_decimal, sieve_and_factor
 from .events import PreemptionLedger, composite_event
-from .pretender import UNIVERSAL_PRETENDER
 
 __all__ = [
     "Cascade",
@@ -62,7 +61,7 @@ class Characterization(NamedTuple):
 
     @property
     def rarity_display(self) -> str:
-        return render_decimal(self.rarity, 2)
+        return render_decimal(self.rarity)
 
 
 class SkippedComposite(NamedTuple):
@@ -77,11 +76,10 @@ class Cascade:
 
     def __init__(self, entries: tuple[Characterization, ...],
                  ledger: PreemptionLedger,
-                 skipped: tuple[SkippedComposite, ...], sieve: Sieve):
+                 skipped: tuple[SkippedComposite, ...]):
         self.entries = entries
         self.ledger = ledger
         self.skipped = skipped
-        self.sieve = sieve
         self._by_q = {e.q: e for e in entries}
         self._walk = [(e.q, e.root_modulus, e.event) for e in entries]
 
@@ -143,12 +141,11 @@ def class_profile(cascade: Cascade, modulus: int, residue: int,
 
 def build_cascade() -> Cascade:
     """Derive the full decision list by the ascending-composite walk."""
-    sieve = sieve_and_factor(UNIVERSAL_PRETENDER)
-    ledger = PreemptionLedger(sieve)
+    ledger = PreemptionLedger()
     entries: list[Characterization] = []
     skipped: list[SkippedComposite] = []
-    for q in sieve.composites:
-        events = composite_event(q, sieve)
+    for q in sieve_and_factor().composites:
+        events = composite_event(q)
         res = ledger.residual(q, events)
         if res.density == 0:
             skipped.append(SkippedComposite(q, res.empty_primes))
@@ -172,7 +169,7 @@ def build_cascade() -> Cascade:
                 event=frozenset({0}), density=res.density,
             )
         entries.append(entry)
-    return Cascade(tuple(entries), ledger, tuple(skipped), sieve)
+    return Cascade(tuple(entries), ledger, tuple(skipped))
 
 
 class RootDescriptionError(RuntimeError):
@@ -226,7 +223,7 @@ def family_check(cascade: Cascade) -> FamilyReport:
     """Compare the derived entry set against its closed-form description:
     products of a small factor with primes in fixed ranges, a few squares,
     and the universal pretender."""
-    primes = cascade.sieve.primes
+    primes = sieve_and_factor().primes
     groups = {
         "2p for p <= 277": {2 * p for p in primes if p <= 277},
         "3p for 3 <= p <= 181": {3 * p for p in primes if 3 <= p <= 181},

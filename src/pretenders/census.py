@@ -37,7 +37,7 @@ from itertools import count
 from math import floor, lcm
 from typing import NamedTuple
 
-from .arith import render_decimal
+from .arith import render_decimal, sieve_and_factor
 from .cascade import Cascade, Characterization, class_profile
 from .pretender import primary_pretender_oracle
 
@@ -253,7 +253,7 @@ def _free_cells(cascade: Cascade, q: int, p: int) -> int:
             zeros = bytes(tracked // m)
             for s in _self_power_roots(e.q, m):
                 free[s::m] = zeros
-    cm = next((pp.modulus for pp in cascade.sieve.factorization(q)
+    cm = next((pp.modulus for pp in sieve_and_factor().factorization(q)
                if pp.p == p), None)
     if cm is None:
         return free.count(1)
@@ -271,7 +271,7 @@ def density_by_residue_count(cascade: Cascade, q: int) -> Fraction:
     winners' q values and constrained moduli.
     """
     cascade.entry_for(q)   # KeyError unless q is an entry
-    primes = ({pp.p for pp in cascade.sieve.factorization(q)}
+    primes = ({pp.p for pp in sieve_and_factor().factorization(q)}
               | {e.prime for e in cascade.entries
                  if e.q < q and e.prime is not None})
     density = Fraction(1)

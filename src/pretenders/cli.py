@@ -22,7 +22,6 @@ from .census import CensusReport
 from .period import minimality_witnesses, period_constant, periodicity_check, verify_lcm
 from .pretender import primary_pretender_oracle
 from .tables import (
-    GoldenFormatError,
     format_cascade,
     format_mod36,
     format_t3,
@@ -241,7 +240,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (OSError, GoldenFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,14 +13,14 @@ The ``PreemptionLedger`` keeps, per prime, a table naming the first
 winner of the least-pretender contest that claimed each residue.  Each
 winner constrains a single prime, so the unclaimed bases stay a product
 of per-prime free cells and every residual density is an exact ratio of
-cell counts.  Tracked exponents are the maximal prime powers occurring
+cell counts.  The tracked powers are the maximal prime powers occurring
 in any composite up to the sieve limit, derived from the sieve.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import PrimePower, Sieve
+from .arith import PrimePower, sieve_and_factor
 
 __all__ = [
     "FormViolation",
@@ -61,8 +61,9 @@ def prime_power_event(q: int, pp: PrimePower) -> PrimePowerEvent:
     return PrimePowerEvent(q, pp, residues)
 
 
-def composite_event(q: int, sieve: Sieve) -> tuple[PrimePowerEvent, ...]:
+def composite_event(q: int) -> tuple[PrimePowerEvent, ...]:
     """Per-component events of q, one per maximal prime power."""
+    sieve = sieve_and_factor()
     if sieve.is_prime(q) or q < 4:
         raise ValueError(f"{q} is not composite")
     return tuple(prime_power_event(q, pp) for pp in sieve.factorization(q))
@@ -77,7 +78,6 @@ class Residual(NamedTuple):
     exactly when some count is zero.
     """
 
-    q: int
     free: dict[int, int]
     density: Fraction
 
@@ -96,25 +96,21 @@ class PreemptionLedger:
     of p are exactly those holding a value >= q.
     """
 
-    def __init__(self, sieve: Sieve):
-        self.sieve = sieve
-        exponents: dict[int, int] = {}
+    def __init__(self):
+        sieve = sieve_and_factor()
+        moduli: dict[int, int] = {}
         for n in sieve.composites:
             for pp in sieve.factorization(n):
-                if pp.e > exponents.get(pp.p, 0):
-                    exponents[pp.p] = pp.e
-        self.exponents = dict(sorted(exponents.items()))
-        self.moduli = {p: p ** e for p, e in self.exponents.items()}
+                moduli[pp.p] = max(moduli.get(pp.p, 1), pp.modulus)
+        self.moduli = dict(sorted(moduli.items()))
         self.unclaimed = sieve.limit
         self.claims = {p: [self.unclaimed] * m for p, m in self.moduli.items()}
         self._free: dict[int, int] = {}   # unclaimed cells per claimed prime
 
     def residual(self, q: int,
-                 events: tuple[PrimePowerEvent, ...] | None = None) -> Residual:
-        """Event set of q minus everything already claimed, as per-prime
-        free-cell counts with their exact joint density."""
-        if events is None:
-            events = composite_event(q, self.sieve)
+                 events: tuple[PrimePowerEvent, ...]) -> Residual:
+        """Event set of q, ``events``, minus everything already claimed, as
+        per-prime free-cell counts with their exact joint density."""
         free: dict[int, int] = {}
         for ev in events:
             if not ev.trivial:
@@ -127,7 +123,7 @@ class PreemptionLedger:
         for p, n in free.items():
             num *= n
             den *= self.moduli[p]
-        return Residual(q, free, Fraction(num, den))
+        return Residual(free, Fraction(num, den))
 
     def ingest(self, events: tuple[PrimePowerEvent, ...]
                ) -> PrimePowerEvent | None:

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .arith import crt, sieve_and_factor
 from .cascade import Cascade
-from .pretender import UNIVERSAL_PRETENDER
 
 __all__ = [
     "LcmCheck",
@@ -36,7 +35,7 @@ def period_constant() -> int:
     up to the largest repeated one.  Both bounds are read off the sieve,
     not hardcoded.  Nothing here reads the cascade, so comparing this
     with the entry moduli (``verify_lcm``) is an independent check."""
-    sieve = sieve_and_factor(UNIVERSAL_PRETENDER)
+    sieve = sieve_and_factor()
     factors = [pp for n in sieve.composites for pp in sieve.factorization(n)]
     largest = max(pp.p for pp in factors)
     largest_repeated = max(pp.p for pp in factors if pp.e >= 2)

@@ -16,7 +16,7 @@ From PSI_13 on they refuse with a ValueError rather than trust an
 unproven primality test.
 """
 
-from .arith import sieve_and_factor
+from .arith import UNIVERSAL_PRETENDER, sieve_and_factor
 
 __all__ = [
     "UNIVERSAL_PRETENDER",
@@ -25,10 +25,6 @@ __all__ = [
     "is_fermat_pseudoprime",
     "primary_pretender_oracle",
 ]
-
-# Smallest composite that pretends to every base (verified in the tests
-# by enumerating all residues); hard upper bound for the oracle search.
-UNIVERSAL_PRETENDER = 561
 
 
 class NotCompositeError(ValueError):
@@ -46,7 +42,7 @@ def _require_composite(q: int) -> None:
     if q < 4:
         raise NotCompositeError(f"modulus {q} is below the least composite 4")
     if q <= UNIVERSAL_PRETENDER:
-        if sieve_and_factor(UNIVERSAL_PRETENDER).is_prime(q):
+        if sieve_and_factor().is_prime(q):
             raise NotCompositeError(f"modulus {q} is prime")
         return
     if q >= PSI_13:
@@ -95,7 +91,7 @@ def primary_pretender_oracle(b: int) -> int:
     Ground truth for the fast classifier; always returns a value
     <= UNIVERSAL_PRETENDER.
     """
-    for q in sieve_and_factor(UNIVERSAL_PRETENDER).composites:
+    for q in sieve_and_factor().composites:
         r = b % q
         if pow(r, q, q) == r:
             return q

@@ -48,6 +48,8 @@ __all__ = [
     "run_regressions",
 ]
 
+T2_ROWS = 41   # rows of the t2 grid, as in the paper
+
 # golden file and CSV header of each residue-class grid
 _GRIDS = {"mod36": ("mod36.csv", "residue,value"),
           "t1": ("t1.csv", "residue,offset,value"),
@@ -83,12 +85,12 @@ def gen_table1(cascade: Cascade, mod36: dict[int, int | None]
             for off in range(0, 1260, 180)}
 
 
-def gen_table2(cascade: Cascade, t1: dict[tuple[int, int], int | None],
-               num_rows: int = 41) -> dict[tuple[int, int], int]:
+def gen_table2(cascade: Cascade, t1: dict[tuple[int, int], int | None]
+               ) -> dict[tuple[int, int], int]:
     """classify over the classes mod 1260 that ``t1`` leaves undecided,
     keyed (class, row), row i adding 1260 * i."""
     return {(c + o, i): cascade.classify(c + o + 1260 * i)
-            for (c, o), v in t1.items() if v is None for i in range(num_rows)}
+            for (c, o), v in t1.items() if v is None for i in range(T2_ROWS)}
 
 
 def _axes(cells: dict) -> list[list[int]]:
@@ -223,27 +225,23 @@ class RegressionSummary(NamedTuple):
         return sum(len(v) for v in self.mismatches.values())
 
 
-def run_regressions(cascade: Cascade, report: CensusReport | None = None,
+def run_regressions(cascade: Cascade, report: CensusReport,
                     directory=None) -> RegressionSummary:
-    """Diff every derived display against its golden asset.  The per-entry
-    summary (t3) is only checked when a census report is supplied, since
-    its first-base column needs the first-base search."""
+    """Diff every derived display against its golden asset; ``report``
+    gives the first bases of the per-entry summary (t3).  A golden cell
+    the derivation lacks, or the reverse, is a mismatch."""
     d36 = gen_mod36(cascade)
     d1 = gen_table1(cascade, d36)
-    g2 = load_golden_t2(directory)
-    # as many rows as the golden grid has: rows it skips show as absent
-    d2 = gen_table2(cascade, d1, len(_axes(g2)[1]))
-    results = {
+    return RegressionSummary({
         "mod36": _diff_cells("mod36", load_golden_mod36(directory), d36),
         "t1": _diff_cells("t1", load_golden_t1(directory), d1),
-        "t2": _diff_cells("t2", g2, d2),
+        "t2": _diff_cells("t2", load_golden_t2(directory),
+                          gen_table2(cascade, d1)),
         "period": _diff_cells("period",
                               {"digits": load_golden_period(directory)},
                               {"digits": str(period_constant())}),
-    }
-    if report is not None:
-        results["t3"] = rarity_regression(report, load_golden_t3(directory))
-    return RegressionSummary(results)
+        "t3": rarity_regression(report, load_golden_t3(directory)),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def test_acceptance_10_negative_structure(capsys, cascade):
     qs = set(cascade.qs())
     absent_ok = 8 not in qs and 12 not in qs
     skipped = [s.q for s in cascade.skipped]
-    coverage_ok = set(skipped) | qs == set(cascade.sieve.composites) \
+    coverage_ok = set(skipped) | qs == set(sieve_and_factor().composites) \
         and not set(skipped) & qs
     empty_ok = all(verify_skipped(cascade, q) for q in skipped)
     ok = absent_ok and coverage_ok and empty_ok

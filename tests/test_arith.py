@@ -26,7 +26,7 @@ def test_sieve_primes_and_composites():
     assert s.is_prime(47) and not s.is_prime(49)
     assert not s.is_prime(1) and not s.is_prime(0)
     assert len(s.primes) == 15 and s.primes[-1] == 47
-    assert sieve_and_factor(561).primes[-1] == 557
+    assert sieve_and_factor().primes[-1] == 557
 
 
 def test_sieve_factorization_reassembles():
@@ -56,8 +56,6 @@ class TestRenderDecimal:
         assert render_decimal(Fraction(0)) == "0"
 
     def test_half_to_even_ties(self):
-        assert render_decimal(Fraction(5, 2), 0) == "2"
-        assert render_decimal(Fraction(7, 2), 0) == "4"
         assert render_decimal(Fraction(3465, 16)) == "216.56"   # .5625
         assert render_decimal(Fraction(1925, 8)) == "240.62"    # .625 ties to even
         assert render_decimal(Fraction(1835, 1000)) == "1.84"
@@ -70,7 +68,7 @@ class TestRenderDecimal:
             num = rng.randrange(1, 10**7)
             den = rng.randrange(1, 10**4)
             x = Fraction(num, den)
-            mine = render_decimal(x, 2)
+            mine = render_decimal(x)
             scaled = x * 100
             if scaled.denominator == 1:
                 continue  # skip representable boundary cases, covered above

@@ -10,7 +10,8 @@ from pretenders import (
     family_check,
     primary_pretender_oracle,
 )
-from pretenders.cascade import RootDescriptionError
+from pretenders.arith import sieve_and_factor
+from pretenders.cascade import Cascade, RootDescriptionError
 from pretenders.period import period_constant
 from pretenders.tables import format_cascade, load_golden_t3
 
@@ -39,7 +40,7 @@ def test_skipped_are_disjoint_and_complete(cascade):
     skipped = {s.q for s in cascade.skipped}
     assert 8 in skipped and 12 in skipped
     assert not (qs & skipped)
-    assert qs | skipped == set(cascade.sieve.composites)
+    assert qs | skipped == set(sieve_and_factor().composites)
 
 
 def test_hand_checked_densities(cascade):
@@ -101,6 +102,20 @@ def test_derive_k_m_surplus_is_preempted_only(cascade):
     # description stays exact because 5,10,15,20 were claimed earlier
     rd = derive_k_m(cascade, 25)
     assert rd.surplus == frozenset({5, 10, 15, 20})
+
+
+@pytest.mark.parametrize("bend, match", [
+    (lambda event: event - {8}, r"10 event residues, not k \+ 1"),
+    # 3^10 = 25 (mod 31), so 3 is no 10th root of 0 or 1
+    (lambda event: event - {8} | {3}, "event escapes"),
+], ids=["a-residue-dropped", "b-residue-outside-the-roots"])
+def test_derive_k_m_checks_the_event_against_k(cascade, bend, match):
+    # entry 341 has k = 10 and m = 31; its event holds 8, since 8^10 = 1
+    bent = Cascade(tuple(e._replace(event=bend(e.event)) if e.q == 341 else e
+                         for e in cascade.entries),
+                   cascade.ledger, cascade.skipped)
+    with pytest.raises(RootDescriptionError, match="entry 341: " + match):
+        derive_k_m(bent, 341)
 
 
 def test_derive_k_m_catches_a_cell_claimed_outside_the_roots():

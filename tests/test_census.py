@@ -119,6 +119,12 @@ def test_search_stops_when_the_claim_tables_leave_no_candidate():
         table[:] = [ledger.unclaimed] * len(table)
     with pytest.raises(RuntimeError, match="entry 93: .* no candidate"):
         first_bases(wiped)
+    # so does a prime with no cell claimed at or after q: with every cell
+    # of 7 claimed by 4, no class profile reaches past 4
+    blocked = build_cascade()
+    blocked.ledger.claims[7][:] = [4] * blocked.ledger.moduli[7]
+    with pytest.raises(RuntimeError, match="entry 93: .* no candidate"):
+        first_bases(blocked)
 
 
 def test_extremes(census_report):
@@ -161,6 +167,16 @@ def test_rarity_regression_flags_out_of_tolerance(census_report):
     assert [(m.key, m.expected, m.actual)
             for m in rarity_regression(census_report, fiddled)] == [
         ((22, "rarity"), "216.57", "216.56")]
+
+
+def test_rarity_regression_names_each_wrong_field(census_report):
+    # 341 has k = 10, m = 31 and first base 2
+    rows = [row._replace(k=11, m=29, first_base=3) if row.q == 341 else row
+            for row in load_golden_t3()]
+    assert [(m.key, m.expected, m.actual)
+            for m in rarity_regression(census_report, rows)] == [
+        ((341, "k"), 11, 10), ((341, "m"), 29, 31),
+        ((341, "first_base"), 3, 2)]
 
 
 def test_rarity_regression_counts_each_q(census_report):
@@ -226,7 +242,7 @@ def test_verify_skipped_rejects_a_composite_with_free_cells(cascade):
     # 9 is an entry, so its component at 3 keeps free cells
     c = cascade
     bogus = Cascade(c.entries, c.ledger,
-                    c.skipped + (SkippedComposite(9, (3,)),), c.sieve)
+                    c.skipped + (SkippedComposite(9, (3,)),))
     assert not verify_skipped(bogus, 9)
 
 

@@ -230,6 +230,35 @@ def test_verify_rejects_repeated_rows_and_empty_grids(capsys, tmp_path, name,
     assert err.startswith("error: ") and name in err
 
 
+def _drop_t2_row_40(text):
+    return "".join(ln for ln in text.splitlines(True) if ",40," not in ln)
+
+
+def _add_t2_row_41(text):
+    # the true values, so that only the row itself is wrong
+    cascade = build_cascade()
+    classes = [ln.split(",")[0] for ln in text.splitlines() if ",40," in ln]
+    return text + "".join(f"{c},41,{cascade.classify(int(c) + 1260 * 41)}\n"
+                          for c in classes)
+
+
+@pytest.mark.parametrize("edit, row", [(_drop_t2_row_40, "40"),
+                                       (_add_t2_row_41, "41")],
+                         ids=["t2-without-row-40", "t2-with-row-41"])
+def test_verify_counts_a_missing_or_extra_t2_row(capsys, tmp_path, edit, row):
+    # t2 has 41 rows whatever the golden file holds, so a row the file
+    # lacks or adds is 32 mismatches, not a shorter clean diff
+    for asset in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):
+        shutil.copy(ASSET_DIR / asset, tmp_path / asset)
+    (tmp_path / "t2.csv").write_text(edit((tmp_path / "t2.csv").read_text()))
+    code, out, _ = run(capsys, "verify", "--golden", str(tmp_path),
+                       "--oracle-limit", "0")
+    assert code == 1
+    assert "t2: 32 mismatches" in out
+    rows = re.findall(r"^  \(\d+, (\d+)\): expected", out, re.M)
+    assert len(rows) == 20 and set(rows) == {row}
+
+
 def test_verify_missing_golden_dir(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--golden", str(tmp_path / "nope"),
                        "--oracle-limit", "0")

@@ -13,7 +13,7 @@ from pretenders.events import (
     prime_power_event,
 )
 
-SIEVE = sieve_and_factor(561)
+SIEVE = sieve_and_factor()
 
 
 def test_event_enumeration_spots():
@@ -49,7 +49,7 @@ def test_event_trivial_means_full():
     assert ev.residues == {0, 1}
     assert not prime_power_event(10, PrimePower(5, 1)).trivial
     # the universal pretender is trivial at every component
-    assert all(c.trivial for c in composite_event(561, SIEVE))
+    assert all(c.trivial for c in composite_event(561))
 
 
 def test_event_requires_exact_prime_power_of_q():
@@ -61,35 +61,35 @@ def test_event_requires_exact_prime_power_of_q():
 
 
 def test_composite_event_components():
-    evs = composite_event(341, SIEVE)
+    evs = composite_event(341)
     assert [ev.pp.p for ev in evs] == [11, 31]
     assert [len(ev.residues) for ev in evs] == [11, 11]   # 1 + gcd(340, p-1)
 
 
 def test_ledger_tracked_exponents():
-    ledger = PreemptionLedger(SIEVE)
-    assert ledger.exponents[2] == 9
-    assert ledger.exponents[3] == 5
-    assert ledger.exponents[5] == 3
-    assert ledger.exponents[7] == 3
+    ledger = PreemptionLedger()
+    assert ledger.moduli[2] == 2 ** 9
+    assert ledger.moduli[3] == 3 ** 5
+    assert ledger.moduli[5] == 5 ** 3
+    assert ledger.moduli[7] == 7 ** 3
     for p in (11, 13, 17, 19, 23):
-        assert ledger.exponents[p] == 2
-    singles = [p for p, e in ledger.exponents.items() if e == 1]
+        assert ledger.moduli[p] == p ** 2
+    singles = [p for p, m in ledger.moduli.items() if m == p]
     assert min(singles) == 29 and max(singles) == 277
-    assert len(ledger.exponents) == 59
+    assert len(ledger.moduli) == 59
 
 
 def test_ledger_residual_before_any_ingest():
-    ledger = PreemptionLedger(SIEVE)
-    res = ledger.residual(4)
+    ledger = PreemptionLedger()
+    res = ledger.residual(4, composite_event(4))
     assert res.free == {2: 256}     # lifts of 0, 1 mod 4 among 2^9 cells
     assert res.density == Fraction(1, 2)
     assert not res.empty_primes
 
 
 def test_ledger_ingest_then_preempt():
-    ledger = PreemptionLedger(SIEVE)
-    events = composite_event(4, SIEVE)
+    ledger = PreemptionLedger()
+    events = composite_event(4)
     assert ledger.ingest(events) == events[0]   # the event it claimed
     # 4 claims every lift of 0, 1 mod 4 to mod 2^9, and nothing elsewhere
     assert ledger.claims[2] == [4 if r % 4 < 2 else ledger.unclaimed
@@ -97,16 +97,16 @@ def test_ledger_ingest_then_preempt():
     assert all(set(t) == {ledger.unclaimed}
                for p, t in ledger.claims.items() if p != 2)
     # 6's component at 3 is untouched, at 2 everything = 0,1 mod 4 is gone
-    res = ledger.residual(6)
+    res = ledger.residual(6, composite_event(6))
     assert res.density == Fraction(1, 3)
     # 8's residual is empty: its event mod 8 is {0,1}, both preempted by 4
-    res8 = ledger.residual(8)
+    res8 = ledger.residual(8, composite_event(8))
     assert res8.density == 0
     assert res8.empty_primes == (2,)
 
 
 def test_ledger_rejects_two_nontrivial_components():
-    ledger = PreemptionLedger(SIEVE)
+    ledger = PreemptionLedger()
     fake = [PrimePowerEvent(35, PrimePower(5, 1), frozenset({0, 1})),
             PrimePowerEvent(35, PrimePower(7, 1), frozenset({0, 1}))]
     with pytest.raises(FormViolation):
@@ -114,19 +114,19 @@ def test_ledger_rejects_two_nontrivial_components():
 
 
 def test_ledger_ingest_of_all_trivial_is_noop():
-    ledger = PreemptionLedger(SIEVE)
-    assert ledger.ingest(composite_event(561, SIEVE)) is None
+    ledger = PreemptionLedger()
+    assert ledger.ingest(composite_event(561)) is None
     assert all(set(t) == {ledger.unclaimed} for t in ledger.claims.values())
 
 
 def test_blocked_never_fills_a_prime():
     # replay the real walk: at no point may a prime lose all residues
-    ledger = PreemptionLedger(SIEVE)
+    ledger = PreemptionLedger()
     for q in SIEVE.composites:
-        res = ledger.residual(q)
+        events = composite_event(q)
+        res = ledger.residual(q, events)
         if res.density == 0:
             continue
-        events = composite_event(q, SIEVE)
         nontrivial = [ev for ev in events if not ev.trivial]
         if len(nontrivial) <= 1:
             ledger.ingest(events)
@@ -137,4 +137,4 @@ def test_blocked_never_fills_a_prime():
 @pytest.mark.parametrize("q", [0, 1, 2, 7])
 def test_composite_event_rejects_a_non_composite(q):
     with pytest.raises(ValueError, match="not composite"):
-        composite_event(q, SIEVE)
+        composite_event(q)

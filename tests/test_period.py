@@ -14,7 +14,7 @@ from pretenders.arith import sieve_and_factor
 from pretenders.pretender import primary_pretender_oracle
 from pretenders.tables import load_golden_period
 
-PRIMES = sieve_and_factor(561).primes
+PRIMES = sieve_and_factor().primes
 
 
 def test_period_constant_value():
@@ -119,8 +119,7 @@ def test_a_classify_of_period_one_has_no_witness(cascade):
     # prime may get a witness; at p = 2 that value is the entry's own q,
     # and only the equal shifted value rules the witness out
     value = minimality_witnesses(cascade).witnesses[2].value
-    flat = Cascade(cascade.entries, cascade.ledger, cascade.skipped,
-                   cascade.sieve)
+    flat = Cascade(cascade.entries, cascade.ledger, cascade.skipped)
     flat.classify = lambda b: value
     rep = minimality_witnesses(flat)
     assert not rep.ok and not rep.witnesses

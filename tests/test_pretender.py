@@ -16,8 +16,9 @@ def test_composite_guard():
     for bad in (0, 1, 2, 3, 7, 13, 561 + 2):   # 563 is prime
         with pytest.raises(NotCompositeError):
             is_prime_pretender(bad, 2)
-    # large composite accepted without a full sieve
-    assert is_prime_pretender(161038, 2) in (True, False)
+    # an odd composite above 561 goes through the 13-base strong test;
+    # 1001 = 7 * 11 * 13, and 2^1001 = 123 (mod 1001)
+    assert is_prime_pretender(1001, 2) is False
 
 
 @pytest.mark.parametrize("q, expected", [

@@ -209,12 +209,6 @@ def test_run_regressions_clean(cascade, census_report):
     assert sorted(summary.mismatches) == ["mod36", "period", "t1", "t2", "t3"]
 
 
-def test_run_regressions_without_census_skips_t3(cascade):
-    summary = run_regressions(cascade)
-    assert summary.ok
-    assert "t3" not in summary.mismatches
-
-
 def test_run_regressions_catches_tampering(cascade, census_report, asset_copy):
     text = (asset_copy / "t2.csv").read_text()
     assert "\n2,0,341\n" in text
