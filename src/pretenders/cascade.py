@@ -146,7 +146,7 @@ def build_cascade() -> Cascade:
     skipped: list[SkippedComposite] = []
     for q in sieve_and_factor().composites:
         events = composite_event(q)
-        res = ledger.residual(q, events)
+        res = ledger.residual(events)
         if res.density == 0:
             skipped.append(SkippedComposite(q, res.empty_primes))
             continue
@@ -187,7 +187,7 @@ class RootDescription(NamedTuple):
 def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
     """Verify an entry's (degree, modulus) description:
 
-    (a) the exact event, enumerated by pow(), has k + 1 residues;
+    (a) the exact event, in closed form, has k + 1 residues;
     (b) the event is contained in the k-th roots of 0 or 1 (mod m);
     (c) inside the cascade the description selects exactly the entry's
         new bases, i.e. every surplus root was already preempted.

@@ -3,11 +3,12 @@
 For composite q and a maximal prime power p**e || q, the congruence
 b**q = b (mod q) holds iff it holds modulo every such component, and the
 component condition depends only on b mod p**e.  The *event* of the pair
-(q, p**e) is the set of residues r mod p**e with r**q = r (mod p**e),
-found here by plain enumeration of all p**e candidates.  It always
-contains 0 and 1; for e = 1 it is {0} plus the gcd(q-1, p-1) roots of
-unity, and it is the full residue system exactly when the component
-places no constraint on b.
+(q, p**e) is the set of residues r mod p**e with r**q = r (mod p**e).
+It has a closed form: {0, 1} for p = 2, and for odd p, 0 plus the
+subgroup of order gcd(q-1, phi(p**e)) of the cyclic unit group.  It is
+the full residue system exactly when the component places no constraint
+on b.  The census recounts and a test enumerate the events by pow()
+instead, sharing no code with the closed form.
 
 The ``PreemptionLedger`` keeps, per prime, a table naming the first
 winner of the least-pretender contest that claimed each residue.  Each
@@ -18,6 +19,8 @@ in any composite up to the sieve limit, derived from the sieve.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, prod
 from typing import NamedTuple
 
 from .arith import PrimePower, sieve_and_factor
@@ -52,13 +55,41 @@ class PrimePowerEvent(NamedTuple):
         return len(self.residues) == self.modulus
 
 
+@lru_cache(maxsize=None)
+def _generator(pp: PrimePower) -> int:
+    """A generator of the unit group mod p**e, p odd: the least primitive
+    root g mod p, or g + p when g**(p-1) = 1 (mod p**2) and e > 1."""
+    p = pp.p
+    factors = sieve_and_factor().factorization(p - 1)
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // f.p, p) != 1 for f in factors))
+    if pp.e > 1 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
 def prime_power_event(q: int, pp: PrimePower) -> PrimePowerEvent:
-    """Enumerate {r mod p**e : r**q = r (mod p**e)} for p**e maximal in q."""
+    """{r mod p**e : r**q = r (mod p**e)} for p**e maximal in q.
+
+    A nonzero multiple r of p has r**q = 0 (mod p**e), since q >= p**e > e,
+    so besides 0 only units are roots: those with r**(q-1) = 1.  For p = 2
+    q - 1 is odd and the units mod 2**e form a 2-group, so only 1 is.  For
+    odd p the unit group is cyclic of order phi, and the roots are the
+    subgroup of order d = gcd(q-1, phi), generated by g**(phi/d).
+    """
     m = pp.modulus
     if q % m != 0 or q % (m * pp.p) == 0:
         raise ValueError(f"{pp} is not a maximal prime power of {q}")
-    residues = frozenset(r for r in range(m) if pow(r, q, m) == r)
-    return PrimePowerEvent(q, pp, residues)
+    if pp.p == 2:
+        return PrimePowerEvent(q, pp, frozenset((0, 1)))
+    phi = m - m // pp.p
+    d = gcd(q - 1, phi)
+    h = pow(_generator(pp), phi // d, m)
+    roots = [0, 1]
+    for _ in range(d - 1):
+        roots.append(roots[-1] * h % m)
+    # built from a list in increasing order, as enumeration would fill it
+    return PrimePowerEvent(q, pp, frozenset(sorted(roots)))
 
 
 def composite_event(q: int) -> tuple[PrimePowerEvent, ...]:
@@ -106,24 +137,29 @@ class PreemptionLedger:
         self.unclaimed = sieve.limit
         self.claims = {p: [self.unclaimed] * m for p, m in self.moduli.items()}
         self._free: dict[int, int] = {}   # unclaimed cells per claimed prime
+        # product of _free[p] / moduli[p] over the claimed primes
+        self._num = self._den = 1
 
-    def residual(self, q: int,
-                 events: tuple[PrimePowerEvent, ...]) -> Residual:
-        """Event set of q, ``events``, minus everything already claimed, as
-        per-prime free-cell counts with their exact joint density."""
+    def residual(self, events: tuple[PrimePowerEvent, ...]) -> Residual:
+        """Event set of a composite, ``events``, minus everything already
+        claimed, as per-prime free-cell counts with their exact joint
+        density."""
         free: dict[int, int] = {}
+        num, den = self._num, self._den
         for ev in events:
             if not ev.trivial:
-                table = self.claims[ev.pp.p]
-                free[ev.pp.p] = sum(table[r::ev.modulus].count(self.unclaimed)
-                                    for r in ev.residues)
-        for p, n in self._free.items():
-            free.setdefault(p, n)
-        num = den = 1
-        for p, n in free.items():
-            num *= n
-            den *= self.moduli[p]
-        return Residual(free, Fraction(num, den))
+                p = ev.pp.p
+                table = self.claims[p]
+                n = free[p] = sum(table[r::ev.modulus].count(self.unclaimed)
+                                  for r in ev.residues)
+                # n replaces the claimed prime's factor, or joins the product
+                num *= n
+                den *= self._free.get(p, self.moduli[p])
+        # the constrained primes first, then the other claimed primes; the
+        # second **free puts back the constrained counts over the claimed
+        free = {**free, **self._free, **free}
+        # num is 0 whenever den is: a claimed prime's zero is in both
+        return Residual(free, Fraction(num, den) if num else Fraction(0))
 
     def ingest(self, events: tuple[PrimePowerEvent, ...]
                ) -> PrimePowerEvent | None:
@@ -145,4 +181,6 @@ class PreemptionLedger:
                 if table[i] == self.unclaimed:
                     table[i] = ev.q
         self._free[ev.pp.p] = table.count(self.unclaimed)
+        self._num = prod(self._free.values())
+        self._den = prod(self.moduli[p] for p in self._free)
         return ev

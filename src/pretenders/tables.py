@@ -207,7 +207,7 @@ def load_golden_period(directory=None) -> str:
 
 def _diff_cells(table: str, expected: dict, actual: dict) -> list[Mismatch]:
     out = []
-    for key in sorted(set(expected) | set(actual), key=str):
+    for key in sorted(set(expected) | set(actual)):
         e, a = expected.get(key, "<absent>"), actual.get(key, "<absent>")
         if e != a:
             out.append(Mismatch(table, key, e, a))

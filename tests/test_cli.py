@@ -242,21 +242,37 @@ def _add_t2_row_41(text):
                           for c in classes)
 
 
+def _verify_edited_t2(capsys, tmp_path, edit):
+    for asset in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):
+        shutil.copy(ASSET_DIR / asset, tmp_path / asset)
+    (tmp_path / "t2.csv").write_text(edit((tmp_path / "t2.csv").read_text()))
+    return run(capsys, "verify", "--golden", str(tmp_path),
+               "--oracle-limit", "0")
+
+
 @pytest.mark.parametrize("edit, row", [(_drop_t2_row_40, "40"),
                                        (_add_t2_row_41, "41")],
                          ids=["t2-without-row-40", "t2-with-row-41"])
 def test_verify_counts_a_missing_or_extra_t2_row(capsys, tmp_path, edit, row):
     # t2 has 41 rows whatever the golden file holds, so a row the file
     # lacks or adds is 32 mismatches, not a shorter clean diff
-    for asset in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):
-        shutil.copy(ASSET_DIR / asset, tmp_path / asset)
-    (tmp_path / "t2.csv").write_text(edit((tmp_path / "t2.csv").read_text()))
-    code, out, _ = run(capsys, "verify", "--golden", str(tmp_path),
-                       "--oracle-limit", "0")
+    code, out, _ = _verify_edited_t2(capsys, tmp_path, edit)
     assert code == 1
     assert "t2: 32 mismatches" in out
     rows = re.findall(r"^  \(\d+, (\d+)\): expected", out, re.M)
     assert len(rows) == 20 and set(rows) == {row}
+
+
+def test_verify_lists_the_least_mismatch_keys_in_order(capsys, tmp_path):
+    # keys sort as tuples of ints: (2, 40) comes before (1067, 40)
+    code, out, _ = _verify_edited_t2(capsys, tmp_path, _drop_t2_row_40)
+    assert code == 1
+    listed = [(int(c), int(r)) for c, r in
+              re.findall(r"^  \((\d+), (\d+)\): expected", out, re.M)]
+    classes = sorted(int(ln.split(",")[0]) for ln in
+                     (ASSET_DIR / "t2.csv").read_text().splitlines()
+                     if ",40," in ln)
+    assert listed == [(c, 40) for c in classes[:20]]
 
 
 def test_verify_missing_golden_dir(capsys, tmp_path):

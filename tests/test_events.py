@@ -9,11 +9,14 @@ from pretenders.events import (
     FormViolation,
     PreemptionLedger,
     PrimePowerEvent,
+    _generator,
     composite_event,
     prime_power_event,
 )
 
 SIEVE = sieve_and_factor()
+COMPONENTS = [(q, pp) for q in SIEVE.composites
+              for pp in SIEVE.factorization(q)]
 
 
 def test_event_enumeration_spots():
@@ -22,6 +25,26 @@ def test_event_enumeration_spots():
     assert prime_power_event(4, PrimePower(2, 2)).residues == {0, 1}
     # 9 at 3^2: units of order dividing gcd(8, 6) = 2
     assert prime_power_event(9, PrimePower(3, 2)).residues == {0, 1, 8}
+
+
+def test_closed_form_matches_enumeration_on_every_component():
+    assert len(COMPONENTS) == 1041
+    for q, pp in COMPONENTS:
+        m = pp.modulus
+        enumerated = {r for r in range(m) if pow(r, q, m) == r}
+        assert prime_power_event(q, pp).residues == enumerated, (q, pp)
+
+
+def test_generator_has_full_order_at_every_odd_prime_power():
+    powers = {pp for _, pp in COMPONENTS if pp.p != 2}
+    assert len(powers) == 71
+    for pp in powers:
+        m = pp.modulus
+        g = _generator(pp)
+        order, x = 1, g % m
+        while x != 1:
+            order, x = order + 1, x * g % m
+        assert order == m - m // pp.p, pp
 
 
 def test_event_always_contains_zero_and_one():
@@ -81,7 +104,7 @@ def test_ledger_tracked_exponents():
 
 def test_ledger_residual_before_any_ingest():
     ledger = PreemptionLedger()
-    res = ledger.residual(4, composite_event(4))
+    res = ledger.residual(composite_event(4))
     assert res.free == {2: 256}     # lifts of 0, 1 mod 4 among 2^9 cells
     assert res.density == Fraction(1, 2)
     assert not res.empty_primes
@@ -97,12 +120,27 @@ def test_ledger_ingest_then_preempt():
     assert all(set(t) == {ledger.unclaimed}
                for p, t in ledger.claims.items() if p != 2)
     # 6's component at 3 is untouched, at 2 everything = 0,1 mod 4 is gone
-    res = ledger.residual(6, composite_event(6))
+    res = ledger.residual(composite_event(6))
     assert res.density == Fraction(1, 3)
+    # 6's own prime first, then every claimed prime with its free cells
+    assert list(res.free.items()) == [(3, 162), (2, 256)]
     # 8's residual is empty: its event mod 8 is {0,1}, both preempted by 4
-    res8 = ledger.residual(8, composite_event(8))
+    res8 = ledger.residual(composite_event(8))
     assert res8.density == 0
     assert res8.empty_primes == (2,)
+
+
+def test_ledger_residual_after_a_prime_is_exhausted():
+    # never reached by the cascade (test_blocked_never_fills_a_prime), but
+    # the density stays exact
+    ledger = PreemptionLedger()
+    for q, cells in ((6, {0, 1}), (15, {2})):
+        ledger.ingest([PrimePowerEvent(q, PrimePower(3, 1),
+                                       frozenset(cells))])
+    assert ledger.unclaimed not in ledger.claims[3]
+    for q in (12, 10):   # constrained at 3, and not
+        res = ledger.residual(composite_event(q))
+        assert res.density == 0 and res.empty_primes == (3,)
 
 
 def test_ledger_rejects_two_nontrivial_components():
@@ -124,7 +162,7 @@ def test_blocked_never_fills_a_prime():
     ledger = PreemptionLedger()
     for q in SIEVE.composites:
         events = composite_event(q)
-        res = ledger.residual(q, events)
+        res = ledger.residual(events)
         if res.density == 0:
             continue
         nontrivial = [ev for ev in events if not ev.trivial]
