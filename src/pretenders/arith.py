@@ -58,6 +58,7 @@ class Sieve:
         self._spf = spf
         self.primes = [n for n in range(2, limit + 1) if spf[n] == n]
         self.composites = [n for n in range(4, limit + 1) if spf[n] != n]
+        self._factorizations: dict[int, tuple[PrimePower, ...]] = {}
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
@@ -65,18 +66,23 @@ class Sieve:
         return n >= 2 and self._spf[n] == n
 
     def factorization(self, n: int) -> tuple[PrimePower, ...]:
-        """Maximal prime powers of n, in increasing prime order."""
+        """Maximal prime powers of n, in increasing prime order; each n is
+        factored once and the tuple kept."""
         if not 2 <= n <= self.limit:
             raise ValueError(f"{n} outside sieve range [2, {self.limit}]")
-        out = []
-        while n > 1:
-            p = self._spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append(PrimePower(p, e))
-        return tuple(out)
+        factors = self._factorizations.get(n)
+        if factors is None:
+            out = []
+            rest = n
+            while rest > 1:
+                p = self._spf[rest]
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                out.append(PrimePower(p, e))
+            factors = self._factorizations[n] = tuple(out)
+        return factors
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,12 @@ Each entry also carries a closed-form description: its event modulo the
 constrained prime power m is contained in the k-th roots of 0 or 1
 (mod m) with k = gcd(q-1, phi(m)), and inside the cascade the two sets
 select the same new bases (the surplus roots of 0 are always preempted).
-``derive_k_m`` verifies that description; ``classify``
-never uses it, walking the exact event sets instead.
+``derive_k_m`` verifies that description.
+
+``classify`` reads neither the description nor the event sets: b's
+primary pretender is the least claim on its cells across the ledger's
+per-prime tables, and it stops at the first prime past which no later
+table holds a smaller claim.
 """
 
 from fractions import Fraction
@@ -81,7 +85,17 @@ class Cascade:
         self.ledger = ledger
         self.skipped = skipped
         self._by_q = {e.q: e for e in entries}
-        self._walk = [(e.q, e.root_modulus, e.event) for e in entries]
+        # (P_p, claims on each cell mod P_p, least claim in every later
+        # table) per tracked prime, ascending; the tables are snapshots, so
+        # later edits to the ledger leave classify as built.  No claim
+        # exceeds ``unclaimed``, so the last table always ends the walk.
+        walk = []
+        later = ledger.unclaimed
+        for p in reversed(ledger.claims):
+            claims = tuple(ledger.claims[p])
+            walk.append((ledger.moduli[p], claims, later))
+            later = min(later, min(claims))
+        self._tables = tuple(reversed(walk))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -96,15 +110,22 @@ class Cascade:
             raise KeyError(f"{q} is not a decision-list entry") from None
 
     def classify(self, b: int) -> int:
-        """Primary pretender of b: first entry whose event contains b.
+        """Primary pretender of b: the least claim on b's cells across the
+        per-prime claim tables, i.e. the first entry whose event contains b.
 
-        Works for arbitrarily large b; only b mod each entry modulus is
-        consulted, so the result is periodic in b.
+        Tables are read in ascending prime order, stopping once no later
+        table holds a smaller claim, so the answer is the exact minimum.
+        Only b mod each tracked power is read: any int b works, negative
+        or of any size, and the result is periodic in b.
         """
-        for q, m, event in self._walk:
-            if b % m in event:
-                return q
-        raise AssertionError("unreachable: the universal entry matches")
+        best = UNIVERSAL_PRETENDER
+        for m, claims, later in self._tables:
+            v = claims[b % m]
+            if v < best:
+                best = v
+            if best <= later:
+                break
+        return best
 
 
 def class_profile(cascade: Cascade, modulus: int, residue: int,

@@ -41,6 +41,12 @@ def test_sieve_factorization_reassembles():
         # exponents positive, primes strictly increasing
         assert all(pp.e >= 1 for pp in facs)
         assert [pp.p for pp in facs] == sorted({pp.p for pp in facs})
+    # each n is factored once: a second call hands back the same tuple
+    for n in (2, 1024, 2000):
+        assert s.factorization(n) is s.factorization(n)
+    for n in (0, 1, 2001):
+        with pytest.raises(ValueError, match="outside sieve range"):
+            s.factorization(n)
 
 
 class TestRenderDecimal:

@@ -142,7 +142,9 @@ def test_entry_169_claims_primitive_twelfth_roots(cascade):
 
 
 def test_classify_is_least_claim(cascade):
-    # the walk never reads the claim tables, so this checks the build
+    # classify stops early; the full minimum over every claim table checks
+    # the early exit, and the first entry whose event holds b checks that
+    # the claim tables and the entry events agree
     ledger = cascade.ledger
     first = {row.q: row.first_base for row in load_golden_t3()}
     n = period_constant()
@@ -153,7 +155,32 @@ def test_classify_is_least_claim(cascade):
     for b in bases:
         least = min(table[b % ledger.moduli[p]]
                     for p, table in ledger.claims.items())
-        assert cascade.classify(b) == least, b
+        walked = next(e.q for e in cascade.entries
+                      if b % e.root_modulus in e.event)
+        assert cascade.classify(b) == least == walked, b
+
+
+def test_classify_keeps_the_tables_it_was_built_with():
+    built = build_cascade()
+    bases = list(range(-50, 2000)) + [10009487]
+    before = list(map(built.classify, bases))
+    ledger = built.ledger
+    for table in ledger.claims.values():
+        table[:] = [4] * len(table)
+    assert list(map(built.classify, bases)) == before
+    # a cascade made from the edited ledger reads the edit
+    assert Cascade(built.entries, ledger, built.skipped).classify(2) == 4
+
+
+def test_each_floor_is_the_least_claim_after_its_table(cascade):
+    ledger = cascade.ledger
+    tables = list(ledger.claims.values())
+    want = list(zip(ledger.moduli.values(), map(tuple, tables)))
+    assert [(m, claims) for m, claims, _ in cascade._tables] == want
+    assert len(want) == 59
+    for i, (_, _, later) in enumerate(cascade._tables):
+        assert later == min((min(t) for t in tables[i + 1:]),
+                            default=ledger.unclaimed)
 
 
 def test_derive_k_m_unknown_q(cascade):
