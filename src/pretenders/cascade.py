@@ -20,14 +20,21 @@ constrained prime power m is contained in the k-th roots of 0 or 1
 select the same new bases (the surplus roots of 0 are always preempted).
 ``derive_k_m`` verifies that description.
 
-``classify`` reads neither the description nor the event sets: b's
-primary pretender is the least claim on its cells across the ledger's
-per-prime tables, and it stops at the first prime past which no later
-table holds a smaller claim.
+``classify`` reads neither the description nor the ledger.  Each prime
+enters the period only through its own period, the lcm of its entries'
+moduli (p**2 for p <= 23, p above), so ascending primes are grouped
+while the product M of their periods stays within ``JOINT_PERIOD_CAP``,
+and each group gets one joint table: per cell mod M, the least index of
+an entry at those primes whose event holds the cell.  b's primary
+pretender is the least index across the tables (the universal entry's
+when none is smaller), and the walk stops at the first table past which
+no later table holds a smaller index.  The 59 tracked primes fall into
+36 tables of about 365,000 cells.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .arith import UNIVERSAL_PRETENDER, render_decimal, sieve_and_factor
@@ -44,7 +51,11 @@ __all__ = [
     "class_profile",
     "derive_k_m",
     "family_check",
+    "lay_entry_indices",
 ]
+
+# the largest joint period: 4 * 9 * 25 * 49, the periods of 2, 3, 5 and 7
+JOINT_PERIOD_CAP = 44_100
 
 
 class Characterization(NamedTuple):
@@ -85,17 +96,38 @@ class Cascade:
         self.ledger = ledger
         self.skipped = skipped
         self._by_q = {e.q: e for e in entries}
-        # (P_p, claims on each cell mod P_p, least claim in every later
-        # table) per tracked prime, ascending; the tables are snapshots, so
-        # later edits to the ledger leave classify as built.  No claim
-        # exceeds ``unclaimed``, so the last table always ends the walk.
+        # each prime's own period: the lcm of its entries' moduli
+        periods: dict[int, int] = {}
+        for e in entries:
+            if e.prime is not None:
+                periods[e.prime] = lcm(periods.get(e.prime, 1), e.root_modulus)
+        # ascending primes share a table while M, the product of their
+        # periods, stays within the cap
+        moduli: list[int] = []
+        group_of: dict[int, int] = {}
+        for p, period in sorted(periods.items()):
+            if moduli and moduli[-1] * period <= JOINT_PERIOD_CAP:
+                moduli[-1] *= period
+            else:
+                moduli.append(period)
+            group_of[p] = len(moduli) - 1
+        universal = len(entries) - 1
+        js: list[list[int]] = [[] for _ in moduli]
+        for j, e in enumerate(entries):
+            if e.prime is not None:
+                js[group_of[e.prime]].append(j)
+        # (M, entry index on each cell mod M, least index in any later
+        # table) per table, ascending.  No index exceeds the universal
+        # entry's, so the last table always ends the walk.  Built from the
+        # entries alone, never from the ledger.
         walk = []
-        later = ledger.unclaimed
-        for p in reversed(ledger.claims):
-            claims = tuple(ledger.claims[p])
-            walk.append((ledger.moduli[p], claims, later))
-            later = min(later, min(claims))
-        self._tables = tuple(reversed(walk))
+        later = universal
+        for m, group in zip(reversed(moduli), reversed(js)):
+            cells = bytes(lay_entry_indices(entries, group + [universal], 0, m))
+            walk.append((m, cells, later))
+            # a byte search each, much cheaper than min() over the cells
+            later = min(later, next(j for j in group if j in cells))
+        self._tables = (tuple(e.q for e in entries), tuple(reversed(walk)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -110,22 +142,51 @@ class Cascade:
             raise KeyError(f"{q} is not a decision-list entry") from None
 
     def classify(self, b: int) -> int:
-        """Primary pretender of b: the least claim on b's cells across the
-        per-prime claim tables, i.e. the first entry whose event contains b.
+        """Primary pretender of b: the first entry whose event contains b.
 
-        Tables are read in ascending prime order, stopping once no later
-        table holds a smaller claim, so the answer is the exact minimum.
-        Only b mod each tracked power is read: any int b works, negative
-        or of any size, and the result is periodic in b.
+        Each joint table holds, per cell mod its modulus M (a product of
+        whole per-prime periods), the least index of an entry at those
+        primes whose event holds the cell.  Tables are read in ascending
+        prime order, stopping once no later table holds a smaller index,
+        so the answer is the exact minimum.  Only b mod each M is read:
+        any int b works, negative or of any size, and the result is
+        periodic in b.
         """
-        best = UNIVERSAL_PRETENDER
-        for m, claims, later in self._tables:
-            v = claims[b % m]
-            if v < best:
-                best = v
+        qs, tables = self._tables
+        best = len(qs) - 1
+        for m, cells, later in tables:
+            j = cells[b % m]
+            if j < best:
+                best = j
             if best <= later:
                 break
-        return best
+        return qs[best]
+
+
+def lay_entry_indices(entries: Sequence[Characterization], js: Sequence[int],
+                      start: int, n: int) -> bytearray:
+    """A byte per base b in [start, start + n): the least j in ``js`` whose
+    entry's event holds b.
+
+    The entries are laid from the last j to the first, each residue of an
+    event by one strided slice assignment, so the least j is the one left
+    in its slot.  The last j must be the universal entry, which fills
+    every slot.  Only offsets from ``start`` index the buffer; ``start``
+    is reduced per entry modulus as a Python int, so any start works.
+    """
+    if len(entries) > 256:
+        raise ValueError(f"{len(entries)} entries: an entry index must fit "
+                         "in one byte (at most 256 entries)")
+    assert entries[js[-1]].root_modulus == 1, \
+        "the universal entry must come last"
+    idx = bytearray(n)
+    for j in reversed(js):
+        e = entries[j]
+        m = e.root_modulus
+        for r in e.event:
+            i = (r - start) % m
+            idx[i::m] = bytes([j]) * len(range(i, n, m))
+    return idx
 
 
 def class_profile(cascade: Cascade, modulus: int, residue: int,

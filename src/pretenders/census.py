@@ -1,10 +1,12 @@
 """Counting over the decision list: densities, first bases, extremes.
 
 ``classify_range`` classifies a contiguous base range at once.  It keeps
-a byte per base holding the index of its entry: the entries are laid down
-from last to first, each residue of an entry's event by one strided slice
-assignment, so the earliest entry that matches a base is the one left in
-its slot.  Two ``bytes.translate`` tables then turn indices into q values.
+a byte per base holding the index of its entry, laid by
+``cascade.lay_entry_indices`` as the joint tables of ``classify`` are:
+the entries from last to first, each residue of an entry's event by one
+strided slice assignment, so the earliest entry that matches a base is
+the one left in its slot.  Two ``bytes.translate`` tables then turn
+indices into q values.
 
 The least base of each entry is found exactly, with no bound.  The bases
 below ``PREFIX`` are classified outright; every entry still unfound is
@@ -38,7 +40,8 @@ from math import floor, lcm
 from typing import NamedTuple
 
 from .arith import render_decimal, sieve_and_factor
-from .cascade import Cascade, Characterization, class_profile
+from .cascade import (Cascade, Characterization, class_profile,
+                      lay_entry_indices)
 from .pretender import primary_pretender_oracle
 
 __all__ = [
@@ -61,25 +64,13 @@ CLASS_MODULUS = 180     # classes mod 4, 9 and 5 that prune its candidates
 
 
 def classify_range(cascade: Cascade, start: int, stop: int) -> array:
-    """Primary pretenders of b in [start, stop), as an ``array('H')``.
-
-    Only offsets from ``start`` index the buffer; ``start`` itself is
-    reduced per entry modulus as a Python int, so any start works,
-    however large or negative.
-    """
+    """Primary pretenders of b in [start, stop), as an ``array('H')``;
+    any start works, however large or negative."""
     if stop < start:
         raise ValueError(f"classify_range: stop {stop} is below start {start}")
     entries = cascade.entries
-    # the universal entry (modulus 1) is laid first and fills every slot
-    assert entries[-1].root_modulus == 1, "the universal entry must come last"
     n = stop - start
-    idx = bytearray(n)
-    for j in range(len(entries) - 1, -1, -1):
-        e = entries[j]
-        m = e.root_modulus
-        for r in e.event:
-            i = (r - start) % m
-            idx[i::m] = bytes([j]) * len(range(i, n, m))
+    idx = lay_entry_indices(entries, range(len(entries)), start, n)
     qs = [e.q for e in entries]
     pad = bytes(256 - len(qs))
     low = bytes(q & 0xFF for q in qs) + pad

@@ -146,11 +146,12 @@ class PreemptionLedger:
         density."""
         free: dict[int, int] = {}
         num, den = self._num, self._den
+        unclaimed = self.unclaimed
         for ev in events:
             if not ev.trivial:
-                p = ev.pp.p
+                p, m = ev.pp.p, ev.modulus
                 table = self.claims[p]
-                n = free[p] = sum(table[r::ev.modulus].count(self.unclaimed)
+                n = free[p] = sum(table[r::m].count(unclaimed)
                                   for r in ev.residues)
                 # n replaces the claimed prime's factor, or joins the product
                 num *= n
@@ -176,9 +177,10 @@ class PreemptionLedger:
             return None   # universal pretender: nothing left to claim after it
         ev = nontrivial[0]
         table = self.claims[ev.pp.p]
+        m, unclaimed = ev.modulus, self.unclaimed
         for r in ev.residues:
-            for i in range(r, len(table), ev.modulus):
-                if table[i] == self.unclaimed:
+            for i in range(r, len(table), m):
+                if table[i] == unclaimed:
                     table[i] = ev.q
         self._free[ev.pp.p] = table.count(self.unclaimed)
         self._num = prod(self._free.values())

@@ -1,10 +1,10 @@
 """The period of the primary-pretender function and its minimality.
 
-classify(b) reads b only through b mod the tracked prime powers, in the
-per-prime claim tables, and the table of p repeats with its entries'
-moduli, since a cell's claim is the first entry at p whose event holds
-the cell mod that entry's modulus.  So classify repeats with period
-lcm(all entry moduli).  That lcm is the product of
+classify(b) reads b only through b mod the moduli of its joint tables.
+Each modulus is a product of whole per-prime periods, the lcm of the
+entries' moduli at a prime, since a cell names the first entry at its
+primes whose event holds the cell mod that entry's modulus.  So classify
+repeats with period lcm(all entry moduli).  That lcm is the product of
 all primes up to the largest prime factor of any composite in range
 (277, the 59th prime) times the product of all primes up to the largest
 repeated prime factor (23, the 9th prime) -- a 122-digit number.  Minimality is witnessed prime by prime: for each p

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -11,7 +12,12 @@ from pretenders import (
     primary_pretender_oracle,
 )
 from pretenders.arith import sieve_and_factor
-from pretenders.cascade import Cascade, RootDescriptionError
+from pretenders.cascade import (
+    JOINT_PERIOD_CAP,
+    Cascade,
+    RootDescriptionError,
+    lay_entry_indices,
+)
 from pretenders.period import period_constant
 from pretenders.tables import format_cascade, load_golden_t3
 
@@ -164,23 +170,61 @@ def test_classify_keeps_the_tables_it_was_built_with():
     built = build_cascade()
     bases = list(range(-50, 2000)) + [10009487]
     before = list(map(built.classify, bases))
-    ledger = built.ledger
-    for table in ledger.claims.values():
+    for table in built.ledger.claims.values():
         table[:] = [4] * len(table)
     assert list(map(built.classify, bases)) == before
-    # a cascade made from the edited ledger reads the edit
-    assert Cascade(built.entries, ledger, built.skipped).classify(2) == 4
+    # classify reads the entries, never the ledger: a cascade made from
+    # edited entries reads the edit
+    assert built.classify(2) == 341
+    entries = list(built.entries)
+    entries[0] = entries[0]._replace(event=frozenset(range(4)))
+    edited = Cascade(tuple(entries), built.ledger, built.skipped)
+    assert edited.classify(2) == 4
+    assert edited.classify(3) == edited.classify(-1) == 4
 
 
 def test_each_floor_is_the_least_claim_after_its_table(cascade):
+    # the joint tables split the tracked primes, ascending, into greedy
+    # groups under the cap, each read mod the product of its primes' own
+    # periods; every cell holds the least claim over the group's primes
     ledger = cascade.ledger
-    tables = list(ledger.claims.values())
-    want = list(zip(ledger.moduli.values(), map(tuple, tables)))
-    assert [(m, claims) for m, claims, _ in cascade._tables] == want
-    assert len(want) == 59
-    for i, (_, _, later) in enumerate(cascade._tables):
-        assert later == min((min(t) for t in tables[i + 1:]),
-                            default=ledger.unclaimed)
+    qs, tables = cascade._tables
+    periods = {p: lcm(*(e.root_modulus for e in cascade.entries
+                        if e.prime == p)) for p in ledger.moduli}
+    assert [periods[p] for p in (2, 3, 23, 29, 277)] == [4, 9, 529, 29, 277]
+    primes = list(ledger.moduli)
+    assert len(primes) == 59 and primes == sorted(primes)
+    groups = []
+    for m, cells, _ in tables:
+        group = [primes.pop(0)]
+        while prod(periods[p] for p in group) < m:
+            group.append(primes.pop(0))
+        assert prod(periods[p] for p in group) == m == len(cells)
+        assert m <= JOINT_PERIOD_CAP
+        if primes:   # the group could not take the next prime
+            assert m * periods[primes[0]] > JOINT_PERIOD_CAP
+        for x in range(m):
+            assert qs[cells[x]] == min(ledger.claims[p][x % periods[p]]
+                                       for p in group), (group, x)
+        groups.append(group)
+    assert not primes and len(groups) == 36
+    assert tables[0][0] == 4 * 9 * 25 * 49 == JOINT_PERIOD_CAP
+    for i, (_, _, later) in enumerate(tables):
+        assert later == min((min(cells) for _, cells, _ in tables[i + 1:]),
+                            default=len(qs) - 1)
+
+
+def test_layering_refuses_an_index_past_one_byte(cascade):
+    universal = cascade.entries[-1:]
+    many = cascade.entries[:-1] * 2
+    fits = many[:255] + universal
+    idx = lay_entry_indices(fits, range(256), -600, 600)
+    assert [fits[j].q for j in idx] == list(map(cascade.classify,
+                                                range(-600, 0)))
+    with pytest.raises(ValueError, match="at most 256 entries"):
+        lay_entry_indices(many[:256] + universal, range(257), 0, 12)
+    with pytest.raises(ValueError, match="at most 256 entries"):
+        Cascade(many + universal, cascade.ledger, cascade.skipped)
 
 
 def test_derive_k_m_unknown_q(cascade):
