@@ -21,18 +21,23 @@ set is periodic with positive density.
 
 The density and skip checks recount free cells one prime at a time, from
 raw congruences, so they do not lean on the event machinery or the claim
-tables they are checking.  For a prime p with tracked power P they keep a
-byte per cell mod P, zero the cells every earlier entry at p claims (one
-strided slice per root of its congruence), then count the cells left
-that satisfy q's own congruence.  They read only the earlier entries' q,
-prime and modulus, the tracked powers and the sieve's factorizations;
-the roots come from pow() and are cached per (exponent, modulus) pair.
+tables they are checking.  Each call makes one pass over the entries and
+groups the (q', modulus) pairs of those before q by the prime each one
+constrains.  For a prime p with tracked power P it keeps a byte per cell
+mod P, zeroes the cells that p's group claims (one strided slice per
+root of each congruence), then counts the cells left that satisfy q's
+own congruence.  A density multiplies the counts and the P as plain ints
+and makes one Fraction; a skip check looks only at the primes its skip
+names.  They read only the earlier entries' q, prime and modulus, the
+tracked powers and the sieve's factorizations; the roots come from
+pow() and are cached per (exponent, modulus) pair.
 """
 
 import sys
 import time
 from array import array
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from itertools import count
@@ -232,23 +237,33 @@ def _self_power_roots(w: int, m: int) -> tuple[int, ...]:
     return tuple(r for r in range(m) if pow(r, w, m) == r)
 
 
-def _free_cells(cascade: Cascade, q: int, p: int) -> int:
-    """Cells mod the tracked power of p that satisfy q's own component
-    congruence (any cell when p does not divide q) and that no entry
-    before q constraining p claims."""
-    tracked = cascade.ledger.moduli[p]
-    free = bytearray(b"\x01") * tracked
+def _claims_before(cascade: Cascade, q: int, primes: Iterable[int]
+                   ) -> dict[int, list[tuple[int, int]]]:
+    """(q', root_modulus) of every entry before q, grouped by the prime
+    each one constrains, for each of ``primes``; one pass over the
+    entries."""
+    claims: dict[int, list[tuple[int, int]]] = {p: [] for p in primes}
     for e in cascade.entries:
-        if e.q < q and e.prime == p:
-            m = e.root_modulus
-            zeros = bytes(tracked // m)
-            for s in _self_power_roots(e.q, m):
-                free[s::m] = zeros
-    cm = next((pp.modulus for pp in sieve_and_factor().factorization(q)
-               if pp.p == p), None)
-    if cm is None:
+        if e.q < q and e.prime in claims:
+            claims[e.prime].append((e.q, e.root_modulus))
+    return claims
+
+
+def _free_cells(tracked: int, claims: list[tuple[int, int]],
+                q: int, own: int) -> int:
+    """Cells r mod ``tracked`` that satisfy q's own congruence
+    r**q = r (mod own), which every cell does when own is 1, and that no
+    (q', m') in ``claims`` holds: none has r**q' = r (mod m').  The
+    claimed cells are zeroed in a byte mask, one strided slice per root,
+    and the free ones counted."""
+    free = bytearray(b"\x01") * tracked
+    for w, m in claims:
+        zeros = bytes(tracked // m)
+        for s in _self_power_roots(w, m):
+            free[s::m] = zeros
+    if own == 1:
         return free.count(1)
-    return sum(free[s::cm].count(1) for s in _self_power_roots(q, cm))
+    return sum(free[s::own].count(1) for s in _self_power_roots(q, own))
 
 
 def density_by_residue_count(cascade: Cascade, q: int) -> Fraction:
@@ -256,25 +271,35 @@ def density_by_residue_count(cascade: Cascade, q: int) -> Fraction:
 
     For each prime p that q or an earlier entry constrains, mark the cells
     mod the tracked power P of p that an earlier entry's congruence
-    claims, count the unmarked cells satisfying q's own congruence, and
-    take count/P.  The product over primes is the density.  Everything is
-    recomputed with pow(); the only cascade inputs are the earlier
-    winners' q values and constrained moduli.
+    claims and count the unmarked cells satisfying q's own congruence.
+    The density is the product of the counts over the product of the P.
+    Everything is recomputed with pow(); the only cascade inputs are the
+    earlier winners' q values, primes and constrained moduli.
     """
     cascade.entry_for(q)   # KeyError unless q is an entry
-    primes = ({pp.p for pp in sieve_and_factor().factorization(q)}
-              | {e.prime for e in cascade.entries
-                 if e.q < q and e.prime is not None})
-    density = Fraction(1)
-    for p in sorted(primes):
-        density *= Fraction(_free_cells(cascade, q, p),
-                            cascade.ledger.moduli[p])
-    return density
+    own = {pp.p: pp.modulus for pp in sieve_and_factor().factorization(q)}
+    moduli = cascade.ledger.moduli
+    num = den = 1
+    # a prime that neither q nor an earlier entry constrains has every
+    # cell free, a factor of 1
+    for p, claims in _claims_before(cascade, q, moduli).items():
+        if claims or p in own:
+            num *= _free_cells(moduli[p], claims, q, own.get(p, 1))
+            den *= moduli[p]
+    return Fraction(num, den)
 
 
 def verify_skipped(cascade: Cascade, q: int) -> bool:
     """Confirm from raw congruences that a skipped composite truly has an
     empty residual: at every prime it names, no cell is left free."""
-    skip = next(s for s in cascade.skipped if s.q == q)
+    for skip in cascade.skipped:
+        if skip.q == q:
+            break
+    else:
+        raise KeyError(f"{q} is not a skipped composite")
+    own = {pp.p: pp.modulus for pp in sieve_and_factor().factorization(q)}
+    claims = _claims_before(cascade, q, skip.empty_primes)
+    moduli = cascade.ledger.moduli
     return bool(skip.empty_primes) and all(
-        _free_cells(cascade, q, p) == 0 for p in skip.empty_primes)
+        _free_cells(moduli[p], claims[p], q, own.get(p, 1)) == 0
+        for p in skip.empty_primes)

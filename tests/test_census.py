@@ -246,6 +246,26 @@ def test_verify_skipped_rejects_a_composite_with_free_cells(cascade):
     assert not verify_skipped(bogus, 9)
 
 
+def test_verify_skipped_rejects_a_skip_empty_at_only_some_primes(cascade):
+    # 12 is truly empty at 2 and at 3, but entry 10 leaves cells free at 5
+    c = cascade
+    bogus = Cascade(c.entries, c.ledger, tuple(
+        SkippedComposite(12, (2, 3, 5)) if s.q == 12 else s
+        for s in c.skipped))
+    assert not verify_skipped(bogus, 12)
+
+
+@pytest.mark.parametrize("q", [341, 7, 562])
+def test_verify_skipped_names_a_q_that_is_not_a_skip(cascade, q):
+    # an entry, a prime and a number past the sieve
+    with pytest.raises(KeyError, match=f"{q} is not a skipped composite"):
+        verify_skipped(cascade, q)
+    # the same KeyError inside all(), where a StopIteration would turn
+    # into a RuntimeError
+    with pytest.raises(KeyError, match=f"{q} is not a skipped composite"):
+        all(verify_skipped(cascade, x) for x in (8, q))
+
+
 def test_census_csv_shape(census_report):
     lines = format_t3(census_report, "csv").strip().split("\n")
     assert lines[0] == "q,k,m,first_base,density_num,density_den,rarity"
