@@ -30,6 +30,13 @@ pretender is the least index across the tables (the universal entry's
 when none is smaller), and the walk stops at the first table past which
 no later table holds a smaller index.  The 59 tracked primes fall into
 36 tables of about 365,000 cells.
+
+``prime_tables`` holds the same facts one prime at a time: per cell mod
+the prime's own period, the least index of an entry at that prime whose
+event holds the cell (8,874 cells in all).  ``class_profile``, the
+first-base search and the minimality witnesses read these, never the
+ledger.  Both kinds are laid from the entries alone, on first use, so a
+cascade that is only printed or recounted lays neither.
 """
 
 from collections.abc import Sequence
@@ -44,6 +51,7 @@ __all__ = [
     "Cascade",
     "Characterization",
     "FamilyReport",
+    "PrimeTable",
     "RootDescription",
     "RootDescriptionError",
     "SkippedComposite",
@@ -86,48 +94,87 @@ class SkippedComposite(NamedTuple):
     empty_primes: tuple[int, ...]
 
 
+class PrimeTable(NamedTuple):
+    """One tracked prime's entry indices over the prime's own period."""
+
+    period: int    # the lcm of the moduli of the prime's entries
+    cells: bytes   # per cell, the least index of an entry there
+    top: int       # max(cells)
+
+
 class Cascade:
     """Immutable decision list; safe to share across threads."""
 
     def __init__(self, entries: tuple[Characterization, ...],
                  ledger: PreemptionLedger,
                  skipped: tuple[SkippedComposite, ...]):
+        _check_index_width(entries)
         self.entries = entries
         self.ledger = ledger
         self.skipped = skipped
         self._by_q = {e.q: e for e in entries}
-        # each prime's own period: the lcm of its entries' moduli
-        periods: dict[int, int] = {}
-        for e in entries:
+        # Both kinds of table are laid on first use.  Every attribute is
+        # set here and only reassigned later: one added afterwards, as a
+        # cached_property adds its value, makes CPython 3.11 read the
+        # instance's attributes through a plain dict, and classify lost
+        # 10-20% per call that way.
+        self._tables = tuple(e.q for e in entries), _Unlaid(self)
+        self._prime_tables: dict[int, PrimeTable] | None = None
+        # the indices of the entries at each prime, ascending primes, each
+        # with the prime's own period: the lcm of those entries' moduli
+        by_prime: dict[int, list[int]] = {}
+        for j, e in enumerate(entries):
             if e.prime is not None:
-                periods[e.prime] = lcm(periods.get(e.prime, 1), e.root_modulus)
+                by_prime.setdefault(e.prime, []).append(j)
+        self._by_prime = {
+            p: (lcm(*(entries[j].root_modulus for j in js)), js)
+            for p, js in sorted(by_prime.items())}
+
+    @property
+    def prime_tables(self) -> dict[int, PrimeTable]:
+        """Per tracked prime, ascending: per cell mod its period, the
+        least index of an entry at the prime whose event holds the cell,
+        or the universal entry's where none does."""
+        if self._prime_tables is None:
+            universal = len(self.entries) - 1
+            tables = {}
+            for p, (period, js) in self._by_prime.items():
+                cells = bytes(lay_entry_indices(
+                    self.entries, js + [universal], 0, period))
+                tables[p] = PrimeTable(period, cells, max(cells))
+            self._prime_tables = tables
+        return self._prime_tables
+
+    def _lay_joint(self) -> tuple:
+        """Lay the joint tables in ascending prime order, as (M, entry
+        index on each cell mod M, least index in any later table), and
+        keep them in ``_tables`` beside the q of each entry."""
+        entries = self.entries
         # ascending primes share a table while M, the product of their
         # periods, stays within the cap
         moduli: list[int] = []
-        group_of: dict[int, int] = {}
-        for p, period in sorted(periods.items()):
+        js: list[list[int]] = []
+        for period, group in self._by_prime.values():
             if moduli and moduli[-1] * period <= JOINT_PERIOD_CAP:
                 moduli[-1] *= period
+                js[-1] += group
             else:
                 moduli.append(period)
-            group_of[p] = len(moduli) - 1
+                js.append(list(group))
+        # No index exceeds the universal entry's, so the last table always
+        # ends the walk.
         universal = len(entries) - 1
-        js: list[list[int]] = [[] for _ in moduli]
-        for j, e in enumerate(entries):
-            if e.prime is not None:
-                js[group_of[e.prime]].append(j)
-        # (M, entry index on each cell mod M, least index in any later
-        # table) per table, ascending.  No index exceeds the universal
-        # entry's, so the last table always ends the walk.  Built from the
-        # entries alone, never from the ledger.
         walk = []
         later = universal
         for m, group in zip(reversed(moduli), reversed(js)):
+            group.sort()
             cells = bytes(lay_entry_indices(entries, group + [universal], 0, m))
             walk.append((m, cells, later))
             # a byte search each, much cheaper than min() over the cells
             later = min(later, next(j for j in group if j in cells))
-        self._tables = (tuple(e.q for e in entries), tuple(reversed(walk)))
+        walk = tuple(reversed(walk))
+        self._tables = self._tables[0], walk
+        return walk
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -163,6 +210,24 @@ class Cascade:
         return qs[best]
 
 
+class _Unlaid:
+    """Stands in for a cascade's joint tables until the first classify
+    walks them: that walk lays them in its place, so no later call pays
+    for a check."""
+
+    def __init__(self, cascade: Cascade):
+        self.cascade = cascade
+
+    def __iter__(self):
+        return iter(self.cascade._lay_joint())
+
+
+def _check_index_width(entries: Sequence[Characterization]) -> None:
+    if len(entries) > 256:
+        raise ValueError(f"{len(entries)} entries: an entry index must fit "
+                         "in one byte (at most 256 entries)")
+
+
 def lay_entry_indices(entries: Sequence[Characterization], js: Sequence[int],
                       start: int, n: int) -> bytearray:
     """A byte per base b in [start, start + n): the least j in ``js`` whose
@@ -174,9 +239,7 @@ def lay_entry_indices(entries: Sequence[Characterization], js: Sequence[int],
     every slot.  Only offsets from ``start`` index the buffer; ``start``
     is reduced per entry modulus as a Python int, so any start works.
     """
-    if len(entries) > 256:
-        raise ValueError(f"{len(entries)} entries: an entry index must fit "
-                         "in one byte (at most 256 entries)")
+    _check_index_width(entries)
     assert entries[js[-1]].root_modulus == 1, \
         "the universal entry must come last"
     idx = bytearray(n)
@@ -194,29 +257,34 @@ def class_profile(cascade: Cascade, modulus: int, residue: int,
     """Distinct classify values attained on {b : b = residue (mod modulus)},
     in decision-list order; stops after ``max_distinct`` values.
 
-    classify(b) is the least claim on b's cell across the per-prime claim
-    tables, and the class pins each table to the cells congruent to the
-    residue mod gcd(modulus, tracked power), one cell per table chosen
-    freely.  A claim on a pinned cell is therefore attained exactly when
-    every other table has a pinned cell claimed no earlier: when it does
-    not exceed the least per-table maximum.
+    classify(b) is the least entry index on b's cells across the
+    per-prime tables, and the class pins each table to the cells
+    congruent to the residue mod gcd(modulus, period), one cell per table
+    chosen freely.  An index on a pinned cell is therefore attained
+    exactly when every other table has a pinned cell holding no smaller
+    index: when it does not exceed the least per-table maximum.  Only the
+    primes that divide the modulus are sliced; every other table stays
+    whole and adds its constant maximum to that bound.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    ledger = cascade.ledger
-    cells: dict[int, list[int]] = {}
-    for p, table in ledger.claims.items():
-        pin = gcd(modulus, ledger.moduli[p])
-        cells[p] = table[residue % pin::pin]
-    # an unclaimed cell is a table's largest possible value; finding one
-    # is much cheaper than max() over the long unpinned tables
-    bound = min(ledger.unclaimed if ledger.unclaimed in c else max(c)
-                for c in cells.values())
+    tables = cascade.prime_tables
+    pinned: dict[int, bytes] = {}
+    tops: list[int] = []
+    for p, t in tables.items():
+        if modulus % p:
+            tops.append(t.top)
+        else:
+            pin = gcd(modulus, t.period)
+            cells = pinned[p] = t.cells[residue % pin::pin]
+            tops.append(max(cells))
+    bound = min(tops, default=len(cascade.entries) - 1)
     values: list[int] = []
-    for e in cascade.entries:
-        if e.q > bound or len(values) == max_distinct:
+    for j, e in enumerate(cascade.entries):
+        if j > bound or len(values) == max_distinct:
             break
-        if e.prime is None or e.q in cells[e.prime]:
+        p = e.prime
+        if p is None or j in (pinned[p] if p in pinned else tables[p].cells):
             values.append(e.q)
     return values
 

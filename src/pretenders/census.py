@@ -10,12 +10,13 @@ indices into q values.
 
 The least base of each entry is found exactly, with no bound.  The bases
 below ``PREFIX`` are classified outright; every entry still unfound is
-then searched over its candidates only.  classify(b) is the least claim
-on b's cells across the ledger's per-prime tables, so each base q serves
-has the claim q on its cell mod the tracked power of q's prime, and its
+then searched over its candidates only.  classify(b) is the least entry
+index on b's cells across the cascade's per-prime tables, so each base
+q serves has q's index on its cell mod the period of q's prime, and its
 class mod ``CLASS_MODULUS`` has q in its ``class_profile``.  Together the
-two conditions pick a few residues mod their lcm; walking them in
-ascending blocks, the first base that classifies to q is its least base.
+two conditions pick a few residues mod lcm(``CLASS_MODULUS``, period);
+walking them in ascending blocks, the first base that classifies to q is
+its least base.  Neither condition reads the ledger.
 The walk ends because the candidates hold every base q serves, and that
 set is periodic with positive density.
 
@@ -45,8 +46,7 @@ from math import floor, lcm
 from typing import NamedTuple
 
 from .arith import render_decimal, sieve_and_factor
-from .cascade import (Cascade, Characterization, class_profile,
-                      lay_entry_indices)
+from .cascade import Cascade, class_profile, lay_entry_indices
 from .pretender import primary_pretender_oracle
 
 __all__ = [
@@ -95,23 +95,24 @@ class FirstBaseScan(NamedTuple):
     seconds: float
 
 
-def _least_base(cascade: Cascade, entry: Characterization,
-                profiles: list[set[int]], start: int) -> int:
-    """Least base b with classify(b) == entry.q, given that none lies
-    below ``start``, trying only q's candidates (see the module
+def _least_base(cascade: Cascade, j: int, profiles: list[set[int]],
+                start: int) -> int:
+    """Least base b with classify(b) the q of entry ``j``, given that
+    none lies below ``start``, trying only q's candidates (see the module
     docstring)."""
+    entry = cascade.entries[j]
     q, width = entry.q, CLASS_MODULUS
     classes = {r for r, profile in enumerate(profiles) if q in profile}
-    if entry.prime is None:   # the universal entry claims no cell
+    if entry.prime is None:   # the universal entry holds no cell of its own
         period, residues = width, sorted(classes)
     else:
-        cell = cascade.ledger.moduli[entry.prime]
-        period = lcm(width, cell)
+        own, cells, _ = cascade.prime_tables[entry.prime]
+        period = lcm(width, own)
         residues = sorted(
-            x for r, v in enumerate(cascade.ledger.claims[entry.prime])
-            if v == q for x in range(r, period, cell) if x % width in classes)
+            x for r, v in enumerate(cells)
+            if v == j for x in range(r, period, own) if x % width in classes)
     if not residues:
-        raise RuntimeError(f"entry {q}: the claim tables leave it no "
+        raise RuntimeError(f"entry {q}: the per-prime tables leave it no "
                            "candidate base")
     classify = cascade.classify
     for block in count(start - start % period, period):
@@ -129,12 +130,13 @@ def first_bases(cascade: Cascade, max_base: int | None = None
     head = classify_range(cascade, 0, PREFIX)
     # a later pair overwrites an earlier one, so the least base is kept
     first = dict(zip(reversed(head), range(PREFIX - 1, -1, -1)))
-    rest = [e for e in cascade.entries if e.q not in first]
+    rest = [j for j, e in enumerate(cascade.entries) if e.q not in first]
     if rest:
         profiles = [set(class_profile(cascade, CLASS_MODULUS, r))
                     for r in range(CLASS_MODULUS)]
-        for e in rest:
-            first[e.q] = _least_base(cascade, e, profiles, PREFIX)
+        for j in rest:
+            first[cascade.entries[j].q] = _least_base(cascade, j, profiles,
+                                                      PREFIX)
     found = {q: b for q, b in sorted(first.items())
              if max_base is None or b < max_base}
     return FirstBaseScan(found=found,

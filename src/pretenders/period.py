@@ -7,13 +7,15 @@ primes whose event holds the cell mod that entry's modulus.  So classify
 repeats with period lcm(all entry moduli).  That lcm is the product of
 all primes up to the largest prime factor of any composite in range
 (277, the 59th prime) times the product of all primes up to the largest
-repeated prime factor (23, the 9th prime) -- a 122-digit number.  Minimality is witnessed prime by prime: for each p
-dividing the period N, a pair of bases congruent mod N/p that classify
-differently, so no proper divisor of N is a period.
+repeated prime factor (23, the 9th prime) -- a 122-digit number.
+Minimality is witnessed prime by prime: for each p dividing the period
+N, a pair of bases congruent mod N/p that classify differently, so no
+proper divisor of N is a period.  The witnesses are assembled from the
+per-prime tables by CRT over the per-prime periods, whose product is N.
 """
 
 import random
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from .arith import crt, sieve_and_factor
@@ -105,42 +107,41 @@ def minimality_witnesses(cascade: Cascade) -> MinimalityReport:
     """For each prime p | N, build b with b = b + N/p (mod N/p) but
     classify(b) != classify(b + N/p).
 
-    Construction: take the first entry whose constrained modulus carries
-    the full power of p present in N, and assemble b by CRT from the claim
-    tables: at p a cell the entry claims, picked so that the shift by N/p
-    knocks it out of the entry's event, and at every other prime the least
-    cell claimed after the entry (or never).  classify(b) is then the
-    entry's q and classify(b + N/p) cannot be.
+    Construction: take the first entry whose modulus is the whole period
+    of its prime p, and assemble b by CRT over the per-prime periods from
+    the per-prime tables: at p a cell that holds the entry's index,
+    picked so that the shift by N/p knocks it out of the entry's event,
+    and at every other prime a cell holding that table's largest index,
+    which exceeds the index of any entry that serves a base.  classify(b)
+    is then the entry's q and classify(b + N/p) cannot be.  The periods
+    multiply to the lcm of the entry moduli, so the primes walked are
+    those of N exactly when ``verify_lcm`` holds.
     """
     n = period_constant()
-    ledger = cascade.ledger
-    # the p-part of N for each tracked prime p
-    parts = {p: gcd(n, m) for p, m in ledger.moduli.items()}
-    assert prod(parts.values()) == n, "N must factor over the tracked powers"
-
+    entries, tables = cascade.entries, cascade.prime_tables
+    periods = [t.period for t in tables.values()]
+    whole = prod(periods)
+    anchors = {p: t.cells.index(t.top) for p, t in tables.items()}
+    anchored = crt(list(anchors.values()), periods)
     witnesses: dict[int, Witness] = {}
     failed: list[int] = []
-    for p, target_modulus in parts.items():
-        entry = next((e for e in cascade.entries
-                      if e.prime == p and e.root_modulus == target_modulus),
-                     None)
-        if entry is None:
-            failed.append(p)
-            continue
+    for p, (period, cells, _) in tables.items():
+        j = next((j for j, e in enumerate(entries)
+                  if e.prime == p and e.root_modulus == period), None)
         shift = n // p
-        chosen = next((r for r, v in enumerate(ledger.claims[p])
-                       if v == entry.q
-                       and (r + shift) % entry.root_modulus not in entry.event),
-                      None)
+        chosen = None if j is None else next(
+            (r for r, v in enumerate(cells)
+             if v == j and (r + shift) % period not in entries[j].event),
+            None)
         if chosen is None:
             failed.append(p)
             continue
-        residues = [chosen if tp == p
-                    else next(r for r, v in enumerate(table) if v > entry.q)
-                    for tp, table in ledger.claims.items()]
-        b = crt(residues, list(ledger.moduli.values()))
+        # the anchored base moved to the chosen cell at p alone
+        rest = whole // period
+        b = (anchored + (chosen - anchors[p]) * rest * pow(rest, -1, period)
+             ) % whole
         v, sv = cascade.classify(b), cascade.classify(b + shift)
-        if v != entry.q or sv == v:
+        if v != entries[j].q or sv == v:
             failed.append(p)
             continue
         witnesses[p] = Witness(p, b, b + shift, v, sv)

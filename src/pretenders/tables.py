@@ -2,15 +2,17 @@
 every text, CSV and JSON layout the package reads or writes.
 
 A residue class c mod M pins b mod p**v for each prime power p**v || M.
-Restricting the ledger's per-prime claim tables to the pinned cells tells
-exactly which entries claim members of the class; the class shows a
-definite value precisely when a single entry claims all of it.  That
-restriction (``class_profile``, kept beside the ledger in ``cascade.py``
-since the first-base search uses it too) produces the mod-36 display
-(values 4, 6, 9 or '?'), the 20x7 grid over the undecided classes mod
-1260 (values 10, 14, 15, 21 or '?'), and the 32 columns of the
-computed-value grid for the classes that stay undecided at every modulus
-dividing 1260.  Each display is a plain dict of cells keyed by its CSV
+Restricting the cascade's per-prime entry tables, one per tracked prime
+over its own period, to the pinned cells tells exactly which entries
+classify members of the class; the class shows a definite value
+precisely when a single entry takes all of it.  Only the primes that
+divide M are restricted: 2, 3, 5 and 7 for the moduli 36, 180 and 1260.
+That restriction (``class_profile``, kept beside the tables in
+``cascade.py`` since the first-base search uses it too) produces the
+mod-36 display (values 4, 6, 9 or '?'), the 20x7 grid over the
+undecided classes mod 1260 (values 10, 14, 15, 21 or '?'), and the 32
+columns of the computed-value grid for the classes that stay undecided
+at every modulus dividing 1260.  Each display is a plain dict of cells keyed by its CSV
 key columns; its axes are read off the keys.
 
 The golden copies of these displays ship as CSV assets.  They are data,

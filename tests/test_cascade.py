@@ -16,9 +16,12 @@ from pretenders.cascade import (
     JOINT_PERIOD_CAP,
     Cascade,
     RootDescriptionError,
+    class_profile,
     lay_entry_indices,
 )
-from pretenders.period import period_constant
+from pretenders.census import (density_by_residue_count, first_bases,
+                               verify_skipped)
+from pretenders.period import minimality_witnesses, period_constant
 from pretenders.tables import format_cascade, load_golden_t3
 
 HAND_DENSITIES = {
@@ -188,6 +191,7 @@ def test_each_floor_is_the_least_claim_after_its_table(cascade):
     # groups under the cap, each read mod the product of its primes' own
     # periods; every cell holds the least claim over the group's primes
     ledger = cascade.ledger
+    cascade.classify(0)
     qs, tables = cascade._tables
     periods = {p: lcm(*(e.root_modulus for e in cascade.entries
                         if e.prime == p)) for p in ledger.moduli}
@@ -212,6 +216,78 @@ def test_each_floor_is_the_least_claim_after_its_table(cascade):
     for i, (_, _, later) in enumerate(tables):
         assert later == min((min(cells) for _, cells, _ in tables[i + 1:]),
                             default=len(qs) - 1)
+
+
+def test_each_prime_table_folds_the_ledger(cascade):
+    # one table per tracked prime over its own period, the lcm of its
+    # entries' moduli; every ledger cell names the q of the cell it folds to
+    ledger = cascade.ledger
+    qs = cascade.qs()
+    tables = cascade.prime_tables
+    assert list(tables) == list(ledger.moduli)
+    assert [tables[p].period for p in (2, 3, 23, 29, 277)] == [4, 9, 529, 29,
+                                                              277]
+    assert sum(t.period for t in tables.values()) == 8874
+    for p, (period, cells, top) in tables.items():
+        assert period == lcm(*(e.root_modulus for e in cascade.entries
+                               if e.prime == p))
+        assert len(cells) == period and top == max(cells)
+        assert ledger.moduli[p] % period == 0
+        for r, q in enumerate(ledger.claims[p]):
+            assert qs[cells[r % period]] == q, (p, r)
+
+
+def test_every_entry_holds_a_cell_of_its_own_table(cascade):
+    tables = cascade.prime_tables
+    held = [j for j, e in enumerate(cascade.entries)
+            if e.prime is not None and j in tables[e.prime].cells]
+    assert len(held) == len(cascade.entries) - 1 == 131
+    # and no table holds an index of an entry at another prime
+    for p, t in tables.items():
+        assert {cascade.entries[j].prime for j in set(t.cells)} <= {p, None}
+
+
+def test_tables_are_laid_on_first_use(cascade):
+    fresh = build_cascade()
+
+    def laid():
+        return {name for name, done in (
+            ("joint", isinstance(fresh._tables[1], tuple)),
+            ("prime", fresh._prime_tables is not None)) if done}
+    assert not laid()
+    # printing, recounting and checking descriptions read no table
+    format_cascade(fresh, "json")
+    assert density_by_residue_count(fresh, 25) == Fraction(8, 1925)
+    assert verify_skipped(fresh, 8)
+    derive_k_m(fresh, 169)
+    assert not laid()
+    bases = list(range(-50, 3000)) + [10009487, 10**150 + 7]
+    assert list(map(fresh.classify, bases)) == list(map(cascade.classify,
+                                                        bases))
+    assert laid() == {"joint"}
+    joint = fresh._tables
+    fresh.classify(12345)
+    assert fresh._tables is joint   # kept, not laid again
+    assert class_profile(fresh, 36, 2) == class_profile(cascade, 36, 2)
+    assert laid() == {"joint", "prime"}
+    tables = fresh.prime_tables
+    class_profile(fresh, 180, 7)
+    assert fresh.prime_tables is tables
+    assert tables == cascade.prime_tables
+
+
+def test_profiles_first_bases_and_witnesses_ignore_the_ledger(
+        cascade, census_report):
+    # every claim cell rewritten before the first use: the per-prime
+    # tables come from the entries, so nothing read from them moves
+    edited = build_cascade()
+    for table in edited.ledger.claims.values():
+        table[:] = [4] * len(table)
+    for modulus, residue in ((36, 2), (180, 13), (1260, 1111), (277, 5)):
+        assert (class_profile(edited, modulus, residue)
+                == class_profile(cascade, modulus, residue))
+    assert first_bases(edited).found == census_report.first_base
+    assert minimality_witnesses(edited) == minimality_witnesses(cascade)
 
 
 def test_layering_refuses_an_index_past_one_byte(cascade):

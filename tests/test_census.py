@@ -110,21 +110,18 @@ def test_search_alone_finds_every_first_base(cascade, monkeypatch):
     assert first_bases(cascade).found == golden
 
 
-def test_search_stops_when_the_claim_tables_leave_no_candidate():
-    # wiped claim tables give an entry no candidate: an error naming it,
-    # not an endless walk
-    wiped = build_cascade()
-    ledger = wiped.ledger
-    for table in ledger.claims.values():
-        table[:] = [ledger.unclaimed] * len(table)
-    with pytest.raises(RuntimeError, match="entry 93: .* no candidate"):
-        first_bases(wiped)
-    # so does a prime with no cell claimed at or after q: with every cell
-    # of 7 claimed by 4, no class profile reaches past 4
-    blocked = build_cascade()
-    blocked.ledger.claims[7][:] = [4] * blocked.ledger.moduli[7]
-    with pytest.raises(RuntimeError, match="entry 93: .* no candidate"):
-        first_bases(blocked)
+def test_search_stops_when_the_claim_tables_leave_no_candidate(cascade):
+    # an entry whose event is widened to every residue mod its prime's
+    # period takes every base left, so no later entry serves one: the
+    # search names the first it cannot find, not an endless walk
+    for q, m, named in ((62, 31, 65), (14, 49, 15)):
+        widened = Cascade(
+            tuple(e._replace(root_modulus=m, event=frozenset(range(m)))
+                  if e.q == q else e for e in cascade.entries),
+            cascade.ledger, cascade.skipped)
+        with pytest.raises(RuntimeError,
+                           match=f"entry {named}: .* no candidate"):
+            first_bases(widened)
 
 
 def test_extremes(census_report):

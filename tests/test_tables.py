@@ -1,10 +1,12 @@
 import random
 import shutil
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pretenders.cascade import Cascade
 from pretenders.tables import (
     GoldenFormatError,
     class_profile,
@@ -54,7 +56,7 @@ def test_class_profile_full_walk_reaches_universal(cascade):
 
 
 def test_class_profile_holds_every_sampled_value(cascade):
-    # classify never reads the claim tables that class_profile restricts
+    # classify reads the joint tables, class_profile the per-prime ones
     rng = random.Random(52)
     for _ in range(40):
         modulus = 1260 * rng.randrange(1, 30)
@@ -64,6 +66,47 @@ def test_class_profile_holds_every_sampled_value(cascade):
         seen = {cascade.classify(residue + modulus * rng.randrange(10**12))
                 for _ in range(300)}
         assert seen <= set(profile), (modulus, residue)
+
+
+def _ledger_profile(cascade, modulus, residue):
+    """class_profile's answer read off the ledger's claim tables, mod each
+    prime's tracked power: the q values on the cells the class pins that
+    no pinned table's maximum undercuts."""
+    ledger = cascade.ledger
+    pinned = {}
+    for p, table in ledger.claims.items():
+        pin = gcd(modulus, ledger.moduli[p])
+        pinned[p] = set(table[residue % pin::pin])
+    bound = min(max(qs) for qs in pinned.values())
+    return [e.q for e in cascade.entries
+            if e.q <= bound and (e.prime is None or e.q in pinned[e.prime])]
+
+
+def test_class_profile_equals_the_ledger_reference(cascade):
+    rng = random.Random(1260)
+    classes = [(m, r) for m in (36, 180, 1260) for r in range(m)]
+    moduli = [7 * 11 * 13 * 277, 44_100, 512 * 243, 529 * 361, 31 * 41]
+    moduli += [rng.randrange(1, 7 * 11 * 13 * 277 + 1) for _ in range(40)]
+    classes += [(m, rng.randrange(-10**30, 10**30))
+                for m in moduli for _ in range(4)]
+    for modulus, residue in classes:
+        want = _ledger_profile(cascade, modulus, residue)
+        for cap in (None, 1, 2):
+            assert (class_profile(cascade, modulus, residue, cap)
+                    == want[:cap]), (modulus, residue, cap)
+
+
+def test_class_profile_leaves_out_an_entry_that_holds_no_cell(cascade):
+    # entry 15 bent to {0, 1} mod 5, cells that entry 10 already holds,
+    # serves no base: a class that leaves 5 unpinned must not show it,
+    # and keeps every other value
+    bent = Cascade(tuple(e._replace(event=frozenset({0, 1})) if e.q == 15
+                         else e for e in cascade.entries),
+                   cascade.ledger, cascade.skipped)
+    for modulus, residue in ((1, 0), (36, 2), (77, 3)):
+        assert (class_profile(bent, modulus, residue)
+                == [q for q in class_profile(cascade, modulus, residue)
+                    if q != 15]), modulus
 
 
 def test_mod36_display(cascade):
