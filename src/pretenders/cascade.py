@@ -5,7 +5,9 @@ ledger of which bases are already spoken for.  A composite whose event
 set is entirely preempted never wins anything and is skipped (8 and 12
 are the first casualties).  A composite with a positive-density residual
 becomes an *entry*: it is the primary pretender of exactly the bases in
-its residual, and its event is added to the ledger.
+its residual, and its event is added to the ledger.  The ledger lives
+only as long as the walk: a ``Cascade`` is its entries and skips, and
+every question asked of it afterwards is answered from the entries.
 
 Two facts make the bookkeeping exact.  First, every winner below the
 universal pretender constrains a single prime (checked at build time via
@@ -18,11 +20,11 @@ Each entry also carries a closed-form description: its event modulo the
 constrained prime power m is contained in the k-th roots of 0 or 1
 (mod m) with k = gcd(q-1, phi(m)), and inside the cascade the two sets
 select the same new bases (the surplus roots of 0 are always preempted).
-``derive_k_m`` verifies that description.
+``derive_k_m`` verifies that description against the per-prime tables.
 
-``classify`` reads neither the description nor the ledger.  Each prime
-enters the period only through its own period, the lcm of its entries'
-moduli (p**2 for p <= 23, p above), so ascending primes are grouped
+``classify`` does not read the description.  Each prime enters the
+period only through its own period, the lcm of its entries' moduli
+(p**2 for p <= 23, p above), so ascending primes are grouped
 while the product M of their periods stays within ``JOINT_PERIOD_CAP``,
 and each group gets one joint table: per cell mod M, the least index of
 an entry at those primes whose event holds the cell.  b's primary
@@ -34,8 +36,8 @@ no later table holds a smaller index.  The 59 tracked primes fall into
 ``prime_tables`` holds the same facts one prime at a time: per cell mod
 the prime's own period, the least index of an entry at that prime whose
 event holds the cell (8,874 cells in all).  ``class_profile``, the
-first-base search and the minimality witnesses read these, never the
-ledger.  Both kinds are laid from the entries alone, on first use, so a
+first-base search, the minimality witnesses and ``derive_k_m`` read
+these.  Both kinds are laid from the entries alone, on first use, so a
 cascade that is only printed or recounted lays neither.
 """
 
@@ -67,9 +69,10 @@ JOINT_PERIOD_CAP = 44_100
 
 
 class Characterization(NamedTuple):
-    """One decision-list entry.  Its insertion-time state lives in the
-    ledger's claim tables: the cells of ``prime`` still free when q was
-    reached hold a value >= q, and the cells q claimed hold q itself."""
+    """One decision-list entry.  Its insertion-time state can be read off
+    the table of ``prime`` in ``Cascade.prime_tables``: the cells still
+    free when q was reached hold q's index or a later one, and the cells
+    q claimed hold q's index itself."""
 
     q: int
     root_degree: int           # k in "k-th roots of 0 or 1 (mod m)"
@@ -106,11 +109,9 @@ class Cascade:
     """Immutable decision list; safe to share across threads."""
 
     def __init__(self, entries: tuple[Characterization, ...],
-                 ledger: PreemptionLedger,
                  skipped: tuple[SkippedComposite, ...]):
         _check_index_width(entries)
         self.entries = entries
-        self.ledger = ledger
         self.skipped = skipped
         self._by_q = {e.q: e for e in entries}
         # Both kinds of table are laid on first use.  Every attribute is
@@ -319,7 +320,7 @@ def build_cascade() -> Cascade:
                 event=frozenset({0}), density=res.density,
             )
         entries.append(entry)
-    return Cascade(tuple(entries), ledger, tuple(skipped))
+    return Cascade(tuple(entries), tuple(skipped))
 
 
 class RootDescriptionError(RuntimeError):
@@ -341,6 +342,10 @@ def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
     (b) the event is contained in the k-th roots of 0 or 1 (mod m);
     (c) inside the cascade the description selects exactly the entry's
         new bases, i.e. every surplus root was already preempted.
+
+    Check (c) reads the table of q's prime over its period, a multiple of
+    m: the cells free before q hold q's index j or a later one, and the
+    cells q claimed hold j.
     """
     entry = cascade.entry_for(q)
     if entry.prime is None:
@@ -353,9 +358,10 @@ def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
     if not entry.event <= formula:
         raise RootDescriptionError(
             f"entry {q}: event escapes the k-th-roots description")
-    claims = cascade.ledger.claims[p]
-    free_before = [r for r, v in enumerate(claims) if v >= q]
-    new_residues = [r for r in free_before if claims[r] == q]
+    j = cascade.entries.index(entry)
+    cells = cascade.prime_tables[p].cells
+    free_before = [r for r, v in enumerate(cells) if v >= j]
+    new_residues = [r for r in free_before if cells[r] == j]
     if [r for r in free_before if r % m in formula] != new_residues:
         raise RootDescriptionError(
             f"entry {q}: surplus roots of 0 were not all preempted")

@@ -10,12 +10,14 @@ the full residue system exactly when the component places no constraint
 on b.  The census recounts and a test enumerate the events by pow()
 instead, sharing no code with the closed form.
 
-The ``PreemptionLedger`` keeps, per prime, a table naming the first
-winner of the least-pretender contest that claimed each residue.  Each
-winner constrains a single prime, so the unclaimed bases stay a product
-of per-prime free cells and every residual density is an exact ratio of
-cell counts.  The tracked powers are the maximal prime powers occurring
-in any composite up to the sieve limit, derived from the sieve.
+The ``PreemptionLedger`` serves the cascade build only: ``build_cascade``
+walks the composites with one and lets it go when it returns.  It keeps,
+per prime, a table naming the first winner of the least-pretender
+contest that claimed each residue.  Each winner constrains a single
+prime, so the unclaimed bases stay a product of per-prime free cells and
+every residual density is an exact ratio of cell counts.  The tracked
+powers are the maximal prime powers occurring in any composite up to the
+sieve limit, derived from the sieve.
 """
 
 from fractions import Fraction

@@ -4,7 +4,9 @@ from contextlib import contextmanager
 import pytest
 
 from pretenders import build_cascade
+from pretenders.arith import sieve_and_factor
 from pretenders.census import CensusReport
+from pretenders.events import PreemptionLedger, composite_event
 
 # far above the slowest test (about 1 s), so only a hang reaches it
 TIME_LIMIT_S = 30
@@ -49,3 +51,24 @@ def census_report(cascade):
     # one full scan per session; everything downstream reuses it
     with time_limit(TIME_LIMIT_S):
         return CensusReport.build(cascade)
+
+
+@pytest.fixture(scope="session")
+def ledger(cascade):
+    """The claim tables of the build, replayed here apart from
+    ``build_cascade``, as a reference for the tables a cascade lays from
+    its entries.  The replay must find the cascade's winners and skips."""
+    with time_limit(TIME_LIMIT_S):
+        book = PreemptionLedger()
+        winners, skips = [], []
+        for q in sieve_and_factor().composites:
+            events = composite_event(q)
+            res = book.residual(events)
+            if res.density:
+                book.ingest(events)
+                winners.append(q)
+            else:
+                skips.append((q, res.empty_primes))
+        assert winners == cascade.qs()
+        assert skips == list(cascade.skipped)
+        return book

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from pretenders.cascade import (
 )
 from pretenders.census import (density_by_residue_count, first_bases,
                                verify_skipped)
+from pretenders.events import PreemptionLedger
 from pretenders.period import minimality_witnesses, period_constant
 from pretenders.tables import format_cascade, load_golden_t3
 
@@ -122,23 +124,21 @@ def test_derive_k_m_checks_the_event_against_k(cascade, bend, match):
     # entry 341 has k = 10 and m = 31; its event holds 8, since 8^10 = 1
     bent = Cascade(tuple(e._replace(event=bend(e.event)) if e.q == 341 else e
                          for e in cascade.entries),
-                   cascade.ledger, cascade.skipped)
+                   cascade.skipped)
     with pytest.raises(RootDescriptionError, match="entry 341: " + match):
         derive_k_m(bent, 341)
 
 
-def test_derive_k_m_catches_a_cell_claimed_outside_the_roots():
-    # 10 also claims one cell that was free when 10 was reached but lies
-    # outside its k-th roots: check (c) must see the extra new base
-    corrupt = build_cascade()
-    entry = corrupt.entry_for(10)
-    formula = derive_k_m(corrupt, 10).formula_set
-    claims = corrupt.ledger.claims[entry.prime]
-    cell = next(r for r, v in enumerate(claims)
-                if v > 10 and r % entry.root_modulus not in formula)
-    claims[cell] = 10
-    with pytest.raises(RootDescriptionError, match="entry 10: surplus"):
-        derive_k_m(corrupt, 10)
+def test_derive_k_m_catches_a_free_root_left_unclaimed(cascade):
+    # with 0 dropped from the events of 10 and 15, the cells 5, 10, 15 and
+    # 20 mod 25 are free when 25 is reached and are 4th roots of 0, yet
+    # 25 does not claim them: check (c) must see the surplus root
+    assert {cascade.entry_for(q).root_modulus for q in (10, 15)} == {5}
+    bent = Cascade(tuple(e._replace(event=e.event - {0})
+                         if e.q in (10, 15) else e for e in cascade.entries),
+                   cascade.skipped)
+    with pytest.raises(RootDescriptionError, match="entry 25: surplus"):
+        derive_k_m(bent, 25)
 
 
 def test_entry_169_claims_primitive_twelfth_roots(cascade):
@@ -146,15 +146,16 @@ def test_entry_169_claims_primitive_twelfth_roots(cascade):
     for exp in (1, 5):
         r = pow(19, exp, 169)
         want |= {r, 169 - r}
-    claims = cascade.ledger.claims[13]
-    assert {r for r, v in enumerate(claims) if v == 169} == want
+    j = cascade.qs().index(169)
+    period, cells, _ = cascade.prime_tables[13]
+    assert period == 169
+    assert {r for r, v in enumerate(cells) if v == j} == want
 
 
-def test_classify_is_least_claim(cascade):
+def test_classify_is_least_claim(cascade, ledger):
     # classify stops early; the full minimum over every claim table checks
     # the early exit, and the first entry whose event holds b checks that
     # the claim tables and the entry events agree
-    ledger = cascade.ledger
     first = {row.q: row.first_base for row in load_golden_t3()}
     n = period_constant()
     rng = random.Random(33)
@@ -173,24 +174,26 @@ def test_classify_keeps_the_tables_it_was_built_with():
     built = build_cascade()
     bases = list(range(-50, 2000)) + [10009487]
     before = list(map(built.classify, bases))
-    for table in built.ledger.claims.values():
-        table[:] = [4] * len(table)
+    # a cascade is its entries and skips: it keeps no ledger to edit
+    assert list(inspect.signature(Cascade).parameters) == ["entries",
+                                                          "skipped"]
+    assert not any(isinstance(v, PreemptionLedger)
+                   for v in vars(built).values())
     assert list(map(built.classify, bases)) == before
-    # classify reads the entries, never the ledger: a cascade made from
-    # edited entries reads the edit
+    # classify reads the entries: a cascade made from edited entries reads
+    # the edit
     assert built.classify(2) == 341
     entries = list(built.entries)
     entries[0] = entries[0]._replace(event=frozenset(range(4)))
-    edited = Cascade(tuple(entries), built.ledger, built.skipped)
+    edited = Cascade(tuple(entries), built.skipped)
     assert edited.classify(2) == 4
     assert edited.classify(3) == edited.classify(-1) == 4
 
 
-def test_each_floor_is_the_least_claim_after_its_table(cascade):
+def test_each_floor_is_the_least_claim_after_its_table(cascade, ledger):
     # the joint tables split the tracked primes, ascending, into greedy
     # groups under the cap, each read mod the product of its primes' own
     # periods; every cell holds the least claim over the group's primes
-    ledger = cascade.ledger
     cascade.classify(0)
     qs, tables = cascade._tables
     periods = {p: lcm(*(e.root_modulus for e in cascade.entries
@@ -218,10 +221,9 @@ def test_each_floor_is_the_least_claim_after_its_table(cascade):
                             default=len(qs) - 1)
 
 
-def test_each_prime_table_folds_the_ledger(cascade):
+def test_each_prime_table_folds_the_ledger(cascade, ledger):
     # one table per tracked prime over its own period, the lcm of its
     # entries' moduli; every ledger cell names the q of the cell it folds to
-    ledger = cascade.ledger
     qs = cascade.qs()
     tables = cascade.prime_tables
     assert list(tables) == list(ledger.moduli)
@@ -255,11 +257,10 @@ def test_tables_are_laid_on_first_use(cascade):
             ("joint", isinstance(fresh._tables[1], tuple)),
             ("prime", fresh._prime_tables is not None)) if done}
     assert not laid()
-    # printing, recounting and checking descriptions read no table
+    # printing and recounting read no table
     format_cascade(fresh, "json")
     assert density_by_residue_count(fresh, 25) == Fraction(8, 1925)
     assert verify_skipped(fresh, 8)
-    derive_k_m(fresh, 169)
     assert not laid()
     bases = list(range(-50, 3000)) + [10009487, 10**150 + 7]
     assert list(map(fresh.classify, bases)) == list(map(cascade.classify,
@@ -272,17 +273,38 @@ def test_tables_are_laid_on_first_use(cascade):
     assert laid() == {"joint", "prime"}
     tables = fresh.prime_tables
     class_profile(fresh, 180, 7)
+    # checking a description reads the per-prime tables already laid
+    assert derive_k_m(fresh, 169) == derive_k_m(cascade, 169)
     assert fresh.prime_tables is tables
     assert tables == cascade.prime_tables
 
 
+def test_queries_add_no_attribute_to_a_cascade():
+    # an attribute set after __init__ makes CPython 3.11 read the
+    # instance's attributes through a plain dict, which slows every
+    # classify on it, so no query may add one
+    fresh = build_cascade()
+    keys = list(vars(fresh))
+    fresh.classify(2)
+    assert len(fresh.prime_tables) == 59
+    class_profile(fresh, 180, 7)
+    first_bases(fresh)
+    minimality_witnesses(fresh)
+    derive_k_m(fresh, 25)
+    density_by_residue_count(fresh, 25)
+    verify_skipped(fresh, 8)
+    assert list(vars(fresh)) == keys
+
+
 def test_profiles_first_bases_and_witnesses_ignore_the_ledger(
         cascade, census_report):
-    # every claim cell rewritten before the first use: the per-prime
-    # tables come from the entries, so nothing read from them moves
+    # the per-prime tables come from the entries alone: a cascade keeps
+    # no ledger for them to read
     edited = build_cascade()
-    for table in edited.ledger.claims.values():
-        table[:] = [4] * len(table)
+    assert list(inspect.signature(Cascade).parameters) == ["entries",
+                                                          "skipped"]
+    assert not any(isinstance(v, PreemptionLedger)
+                   for v in vars(edited).values())
     for modulus, residue in ((36, 2), (180, 13), (1260, 1111), (277, 5)):
         assert (class_profile(edited, modulus, residue)
                 == class_profile(cascade, modulus, residue))
@@ -300,7 +322,7 @@ def test_layering_refuses_an_index_past_one_byte(cascade):
     with pytest.raises(ValueError, match="at most 256 entries"):
         lay_entry_indices(many[:256] + universal, range(257), 0, 12)
     with pytest.raises(ValueError, match="at most 256 entries"):
-        Cascade(many + universal, cascade.ledger, cascade.skipped)
+        Cascade(many + universal, cascade.skipped)
 
 
 def test_derive_k_m_unknown_q(cascade):

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -118,7 +119,7 @@ def test_search_stops_when_the_claim_tables_leave_no_candidate(cascade):
         widened = Cascade(
             tuple(e._replace(root_modulus=m, event=frozenset(range(m)))
                   if e.q == q else e for e in cascade.entries),
-            cascade.ledger, cascade.skipped)
+            cascade.skipped)
         with pytest.raises(RuntimeError,
                            match=f"entry {named}: .* no candidate"):
             first_bases(widened)
@@ -197,12 +198,13 @@ def test_density_by_residue_count_small_entries(cascade):
 
 
 def test_recount_reads_no_ledger_or_events(cascade, monkeypatch):
-    # a fresh cascade with every claim table wiped: the recounts must not
-    # notice, since they derive every cell from raw congruences
-    scrambled = build_cascade()
-    ledger = scrambled.ledger
-    for table in ledger.claims.values():
-        table[:] = [ledger.unclaimed] * len(table)
+    # the recounts derive every cell from raw congruences: a cascade keeps
+    # no ledger for them to read, and they call nothing in events
+    fresh = build_cascade()
+    assert list(inspect.signature(Cascade).parameters) == ["entries",
+                                                          "skipped"]
+    assert not any(isinstance(v, events.PreemptionLedger)
+                   for v in vars(fresh).values())
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the recount called into pretenders.events")
@@ -212,10 +214,10 @@ def test_recount_reads_no_ledger_or_events(cascade, monkeypatch):
     monkeypatch.setattr(events, "composite_event", forbidden)
     monkeypatch.setattr(events, "prime_power_event", forbidden)
     for e in cascade.entries:
-        assert density_by_residue_count(scrambled, e.q) == e.density, e.q
-    assert len(scrambled.skipped) == 326
-    for s in scrambled.skipped:
-        assert verify_skipped(scrambled, s.q), s.q
+        assert density_by_residue_count(fresh, e.q) == e.density, e.q
+    assert len(fresh.skipped) == 326
+    for s in fresh.skipped:
+        assert verify_skipped(fresh, s.q), s.q
 
 
 def test_oracle_period_census_prefix(cascade):
@@ -238,15 +240,14 @@ def test_verify_skipped(cascade):
 def test_verify_skipped_rejects_a_composite_with_free_cells(cascade):
     # 9 is an entry, so its component at 3 keeps free cells
     c = cascade
-    bogus = Cascade(c.entries, c.ledger,
-                    c.skipped + (SkippedComposite(9, (3,)),))
+    bogus = Cascade(c.entries, c.skipped + (SkippedComposite(9, (3,)),))
     assert not verify_skipped(bogus, 9)
 
 
 def test_verify_skipped_rejects_a_skip_empty_at_only_some_primes(cascade):
     # 12 is truly empty at 2 and at 3, but entry 10 leaves cells free at 5
     c = cascade
-    bogus = Cascade(c.entries, c.ledger, tuple(
+    bogus = Cascade(c.entries, tuple(
         SkippedComposite(12, (2, 3, 5)) if s.q == 12 else s
         for s in c.skipped))
     assert not verify_skipped(bogus, 12)

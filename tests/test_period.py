@@ -119,8 +119,8 @@ def test_a_classify_of_period_one_has_no_witness(cascade):
     # prime may get a witness; at p = 2 that value is the entry's own q,
     # and only the equal shifted value rules the witness out
     value = minimality_witnesses(cascade).witnesses[2].value
-    flat = Cascade(cascade.entries, cascade.ledger, cascade.skipped)
+    flat = Cascade(cascade.entries, cascade.skipped)
     flat.classify = lambda b: value
     rep = minimality_witnesses(flat)
     assert not rep.ok and not rep.witnesses
-    assert rep.failed == tuple(cascade.ledger.moduli)
+    assert rep.failed == tuple(cascade.prime_tables)

@@ -68,11 +68,10 @@ def test_class_profile_holds_every_sampled_value(cascade):
         assert seen <= set(profile), (modulus, residue)
 
 
-def _ledger_profile(cascade, modulus, residue):
+def _ledger_profile(cascade, ledger, modulus, residue):
     """class_profile's answer read off the ledger's claim tables, mod each
     prime's tracked power: the q values on the cells the class pins that
     no pinned table's maximum undercuts."""
-    ledger = cascade.ledger
     pinned = {}
     for p, table in ledger.claims.items():
         pin = gcd(modulus, ledger.moduli[p])
@@ -82,7 +81,7 @@ def _ledger_profile(cascade, modulus, residue):
             if e.q <= bound and (e.prime is None or e.q in pinned[e.prime])]
 
 
-def test_class_profile_equals_the_ledger_reference(cascade):
+def test_class_profile_equals_the_ledger_reference(cascade, ledger):
     rng = random.Random(1260)
     classes = [(m, r) for m in (36, 180, 1260) for r in range(m)]
     moduli = [7 * 11 * 13 * 277, 44_100, 512 * 243, 529 * 361, 31 * 41]
@@ -90,7 +89,7 @@ def test_class_profile_equals_the_ledger_reference(cascade):
     classes += [(m, rng.randrange(-10**30, 10**30))
                 for m in moduli for _ in range(4)]
     for modulus, residue in classes:
-        want = _ledger_profile(cascade, modulus, residue)
+        want = _ledger_profile(cascade, ledger, modulus, residue)
         for cap in (None, 1, 2):
             assert (class_profile(cascade, modulus, residue, cap)
                     == want[:cap]), (modulus, residue, cap)
@@ -102,7 +101,7 @@ def test_class_profile_leaves_out_an_entry_that_holds_no_cell(cascade):
     # and keeps every other value
     bent = Cascade(tuple(e._replace(event=frozenset({0, 1})) if e.q == 15
                          else e for e in cascade.entries),
-                   cascade.ledger, cascade.skipped)
+                   cascade.skipped)
     for modulus, residue in ((1, 0), (36, 2), (77, 3)):
         assert (class_profile(bent, modulus, residue)
                 == [q for q in class_profile(cascade, modulus, residue)
