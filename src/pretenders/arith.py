@@ -4,7 +4,8 @@ Arbitrary-precision naturals are Python ints.  Exact rationals are
 ``fractions.Fraction``: always reduced, denominator positive, so
 densities and rarities never touch floats.  The sieve is a
 smallest-prime-factor table, which gives primality, full factorizations
-into maximal prime powers, and the composite list in one pass.
+into maximal prime powers, and the composite list in one pass; the
+tracked powers are read off the composites' factorizations once.
 """
 
 from fractions import Fraction
@@ -41,7 +42,12 @@ class PrimePower(NamedTuple):
 
 
 class Sieve:
-    """Primality, factorizations and composites for every n up to ``limit``."""
+    """Primality, factorizations and composites for every n up to ``limit``.
+
+    ``tracked_powers`` maps each prime, ascending, to its tracked power:
+    the largest p**e that is a maximal prime-power factor of some
+    composite up to ``limit``.  Read it only; it is shared.
+    """
 
     def __init__(self, limit: int):
         if limit < 4:
@@ -59,6 +65,12 @@ class Sieve:
         self.primes = [n for n in range(2, limit + 1) if spf[n] == n]
         self.composites = [n for n in range(4, limit + 1) if spf[n] != n]
         self._factorizations: dict[int, tuple[PrimePower, ...]] = {}
+        # p first divides the composite 2p (2 first divides 4), so the
+        # primes enter in ascending order
+        powers = self.tracked_powers = {}
+        for n in self.composites:
+            for pp in self.factorization(n):
+                powers[pp.p] = max(powers.get(pp.p, 1), pp.modulus)
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:

@@ -345,7 +345,9 @@ def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
 
     Check (c) reads the table of q's prime over its period, a multiple of
     m: the cells free before q hold q's index j or a later one, and the
-    cells q claimed hold j.
+    cells q claimed hold j.  Those cells are laid from the event, so by
+    (b) they are roots; what is left to check is that no cell holding a
+    later index is one.
     """
     entry = cascade.entry_for(q)
     if entry.prime is None:
@@ -360,9 +362,7 @@ def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
             f"entry {q}: event escapes the k-th-roots description")
     j = cascade.entries.index(entry)
     cells = cascade.prime_tables[p].cells
-    free_before = [r for r, v in enumerate(cells) if v >= j]
-    new_residues = [r for r in free_before if cells[r] == j]
-    if [r for r in free_before if r % m in formula] != new_residues:
+    if any(v > j and r % m in formula for r, v in enumerate(cells)):
         raise RootDescriptionError(
             f"entry {q}: surplus roots of 0 were not all preempted")
     return RootDescription(q, degree, m, formula, formula - entry.event)

@@ -20,19 +20,18 @@ its least base.  The walk ends because the candidates hold every base q
 serves, and that set is periodic with positive density.
 
 The density and skip checks recount free cells one prime at a time, from
-raw congruences, so they do not lean on the event machinery or the claim
+raw congruences, so they do not lean on the event machinery or the
 tables they are checking.  Each call makes one pass over the entries and
 groups the (q', modulus) pairs of those before q by the prime each one
-constrains.  For a prime p with tracked power P, the largest power of p
-that is a component of a composite up to 561, it keeps a byte per cell
-mod P, zeroes the cells that p's group claims (one strided slice per
-root of each congruence), then counts the cells left that satisfy q's
-own congruence.  A density multiplies the counts and the P as plain ints
-and makes one Fraction; a skip check looks only at the primes its skip
-names.  They read only the earlier entries' q, prime and modulus and the
-sieve's factorizations, from which the tracked powers are derived once
-per process; the roots come from pow() and are cached per (exponent,
-modulus) pair.
+constrains.  For a prime p with tracked power P (the sieve's
+``tracked_powers``: the largest power of p that is a component of a
+composite up to 561), it keeps a byte per cell mod P, zeroes the cells
+that p's group claims (one strided slice per root of each congruence),
+then counts the cells left that satisfy q's own congruence.  A density
+multiplies the counts and the P as plain ints and makes one Fraction; a
+skip check looks only at the primes its skip names.  They read only the
+earlier entries' q, prime and modulus and the sieve; the roots come from
+pow() and are cached per (exponent, modulus) pair.
 """
 
 import sys
@@ -235,18 +234,6 @@ def oracle_period_census(limit: int) -> dict[int, int]:
 
 
 @cache
-def _tracked_powers() -> dict[int, int]:
-    """Per prime, ascending, the largest power of it that is a maximal
-    prime power of some composite <= 561, read off the sieve."""
-    sieve = sieve_and_factor()
-    powers: dict[int, int] = {}
-    for n in sieve.composites:
-        for pp in sieve.factorization(n):
-            powers[pp.p] = max(powers.get(pp.p, 1), pp.modulus)
-    return dict(sorted(powers.items()))
-
-
-@cache
 def _self_power_roots(w: int, m: int) -> tuple[int, ...]:
     """Residues r mod m with r**w = r (mod m), by plain enumeration."""
     return tuple(r for r in range(m) if pow(r, w, m) == r)
@@ -293,7 +280,7 @@ def density_by_residue_count(cascade: Cascade, q: int) -> Fraction:
     """
     cascade.entry_for(q)   # KeyError unless q is an entry
     own = {pp.p: pp.modulus for pp in sieve_and_factor().factorization(q)}
-    moduli = _tracked_powers()
+    moduli = sieve_and_factor().tracked_powers
     num = den = 1
     # a prime that neither q nor an earlier entry constrains has every
     # cell free, a factor of 1
@@ -314,7 +301,7 @@ def verify_skipped(cascade: Cascade, q: int) -> bool:
         raise KeyError(f"{q} is not a skipped composite")
     own = {pp.p: pp.modulus for pp in sieve_and_factor().factorization(q)}
     claims = _claims_before(cascade, q, skip.empty_primes)
-    moduli = _tracked_powers()
+    moduli = sieve_and_factor().tracked_powers
     return bool(skip.empty_primes) and all(
         _free_cells(moduli[p], claims[p], q, own.get(p, 1)) == 0
         for p in skip.empty_primes)

@@ -12,12 +12,11 @@ instead, sharing no code with the closed form.
 
 The ``PreemptionLedger`` serves the cascade build only: ``build_cascade``
 walks the composites with one and lets it go when it returns.  It keeps,
-per prime, a table naming the first winner of the least-pretender
-contest that claimed each residue.  Each winner constrains a single
-prime, so the unclaimed bases stay a product of per-prime free cells and
-every residual density is an exact ratio of cell counts.  The tracked
-powers are the maximal prime powers occurring in any composite up to the
-sieve limit, derived from the sieve.
+per prime, a mask over the residues mod the prime's tracked power (the
+sieve's ``tracked_powers``) that marks the cells no winner of the
+least-pretender contest has claimed yet.  Each winner constrains a
+single prime, so the unclaimed bases stay a product of per-prime free
+cells and every residual density is an exact ratio of cell counts.
 """
 
 from fractions import Fraction
@@ -120,25 +119,17 @@ class Residual(NamedTuple):
 
 
 class PreemptionLedger:
-    """Per-prime first-claim tables for the cascade build.
+    """Per-prime free-cell masks for the cascade build.
 
-    ``claims[p][r]`` is the q of the first ingested winner whose event
-    contains r mod ``moduli[p]``, or ``unclaimed`` (the sieve limit, 561:
-    the universal pretender) while no winner has claimed r.  Winners are
-    ingested in increasing order, so at the insertion of q the free cells
-    of p are exactly those holding a value >= q.
+    ``masks[p][r]`` is 1 while no ingested winner's event contains r mod
+    ``moduli[p]``, the tracked power of p, and 0 once one does.
     """
 
     def __init__(self):
-        sieve = sieve_and_factor()
-        moduli: dict[int, int] = {}
-        for n in sieve.composites:
-            for pp in sieve.factorization(n):
-                moduli[pp.p] = max(moduli.get(pp.p, 1), pp.modulus)
-        self.moduli = dict(sorted(moduli.items()))
-        self.unclaimed = sieve.limit
-        self.claims = {p: [self.unclaimed] * m for p, m in self.moduli.items()}
-        self._free: dict[int, int] = {}   # unclaimed cells per claimed prime
+        self.moduli = sieve_and_factor().tracked_powers
+        self.masks = {p: bytearray(b"\x01") * m
+                      for p, m in self.moduli.items()}
+        self._free: dict[int, int] = {}   # free cells per claimed prime
         # product of _free[p] / moduli[p] over the claimed primes
         self._num = self._den = 1
 
@@ -148,13 +139,11 @@ class PreemptionLedger:
         density."""
         free: dict[int, int] = {}
         num, den = self._num, self._den
-        unclaimed = self.unclaimed
         for ev in events:
             if not ev.trivial:
                 p, m = ev.pp.p, ev.modulus
-                table = self.claims[p]
-                n = free[p] = sum(table[r::m].count(unclaimed)
-                                  for r in ev.residues)
+                mask = self.masks[p]
+                n = free[p] = sum(mask[r::m].count(1) for r in ev.residues)
                 # n replaces the claimed prime's factor, or joins the product
                 num *= n
                 den *= self._free.get(p, self.moduli[p])
@@ -178,13 +167,11 @@ class PreemptionLedger:
         if not nontrivial:
             return None   # universal pretender: nothing left to claim after it
         ev = nontrivial[0]
-        table = self.claims[ev.pp.p]
-        m, unclaimed = ev.modulus, self.unclaimed
+        mask, m = self.masks[ev.pp.p], ev.modulus
+        zeros = bytes(len(mask) // m)   # m divides the tracked power
         for r in ev.residues:
-            for i in range(r, len(table), m):
-                if table[i] == unclaimed:
-                    table[i] = ev.q
-        self._free[ev.pp.p] = table.count(self.unclaimed)
+            mask[r::m] = zeros
+        self._free[ev.pp.p] = mask.count(1)
         self._num = prod(self._free.values())
         self._den = prod(self.moduli[p] for p in self._free)
         return ev

@@ -37,13 +37,15 @@ SAMPLE_DIGITS = 150   # random periodicity samples are wider than the period
 def period_constant() -> int:
     """The claimed period: the product of the primes up to the largest
     prime factor of any composite <= 561, times the product of the primes
-    up to the largest repeated one.  Both bounds are read off the sieve,
-    not hardcoded.  Nothing here reads the cascade, so comparing this
-    with the entry moduli (``verify_lcm``) is an independent check."""
+    up to the largest repeated one.  Both bounds are read off the sieve's
+    tracked powers, not hardcoded: the largest tracked prime, and the
+    largest whose tracked power exceeds it.  Nothing here reads the
+    cascade, so comparing this with the entry moduli (``verify_lcm``) is
+    an independent check."""
     sieve = sieve_and_factor()
-    factors = [pp for n in sieve.composites for pp in sieve.factorization(n)]
-    largest = max(pp.p for pp in factors)
-    largest_repeated = max(pp.p for pp in factors if pp.e >= 2)
+    powers = sieve.tracked_powers
+    largest = max(powers)
+    largest_repeated = max(p for p, m in powers.items() if m > p)
     return (prod(p for p in sieve.primes if p <= largest)
             * prod(p for p in sieve.primes if p <= largest_repeated))
 
@@ -107,18 +109,19 @@ def minimality_witnesses(cascade: Cascade) -> MinimalityReport:
     """For each prime p | N, build b with b = b + N/p (mod N/p) but
     classify(b) != classify(b + N/p).
 
-    Construction: take the first entry whose modulus is the whole period
-    of its prime p, and assemble b by CRT over the per-prime periods from
-    the per-prime tables: at p a cell that holds the entry's index,
-    picked so that the shift by N/p knocks it out of the entry's event,
-    and at every other prime a cell holding that table's largest index,
-    which exceeds the index of any entry that serves a base.  classify(b)
-    is then the entry's q and classify(b + N/p) cannot be.  The periods
-    multiply to the lcm of the entry moduli, so the primes walked are
-    those of N exactly when ``verify_lcm`` holds.
+    Construction: N/p is a multiple of every other prime's period, so the
+    shift by N/p moves only the cell of p.  Take the first cell r of p's
+    table whose index differs from that of the cell the shift moves it
+    to, and assemble b by CRT over the per-prime periods from the
+    per-prime tables: r at p, and at every other prime a cell holding
+    that table's largest index, which exceeds the index of any entry
+    that serves a base.  classify(b) and classify(b + N/p) are then the
+    q of the two cells at p, and the pair is checked by classify.  The
+    periods multiply to the lcm of the entry moduli, so the primes walked
+    are those of N exactly when ``verify_lcm`` holds.
     """
     n = period_constant()
-    entries, tables = cascade.entries, cascade.prime_tables
+    tables = cascade.prime_tables
     periods = [t.period for t in tables.values()]
     whole = prod(periods)
     anchors = {p: t.cells.index(t.top) for p, t in tables.items()}
@@ -126,13 +129,9 @@ def minimality_witnesses(cascade: Cascade) -> MinimalityReport:
     witnesses: dict[int, Witness] = {}
     failed: list[int] = []
     for p, (period, cells, _) in tables.items():
-        j = next((j for j, e in enumerate(entries)
-                  if e.prime == p and e.root_modulus == period), None)
         shift = n // p
-        chosen = None if j is None else next(
-            (r for r, v in enumerate(cells)
-             if v == j and (r + shift) % period not in entries[j].event),
-            None)
+        chosen = next((r for r, v in enumerate(cells)
+                       if v != cells[(r + shift) % period]), None)
         if chosen is None:
             failed.append(p)
             continue
@@ -141,7 +140,7 @@ def minimality_witnesses(cascade: Cascade) -> MinimalityReport:
         b = (anchored + (chosen - anchors[p]) * rest * pow(rest, -1, period)
              ) % whole
         v, sv = cascade.classify(b), cascade.classify(b + shift)
-        if v != entries[j].q or sv == v:
+        if sv == v:
             failed.append(p)
             continue
         witnesses[p] = Witness(p, b, b + shift, v, sv)

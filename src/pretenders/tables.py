@@ -22,7 +22,6 @@ diffed against.
 
 import json
 from fractions import Fraction
-from importlib import resources
 from math import prod
 from pathlib import Path
 from typing import NamedTuple
@@ -104,7 +103,7 @@ def _axes(cells: dict) -> list[list[int]]:
 # golden assets
 
 def _read_lines(name: str, directory: str | Path | None) -> list[str]:
-    root = (resources.files("pretenders") / "data" if directory is None
+    root = (Path(__file__).parent / "data" if directory is None
             else Path(directory))
     return [ln for ln in (root / name).read_text().splitlines() if ln.strip()]
 

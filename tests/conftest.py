@@ -1,10 +1,11 @@
 import signal
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
 from pretenders import build_cascade
-from pretenders.arith import sieve_and_factor
+from pretenders.arith import UNIVERSAL_PRETENDER, sieve_and_factor
 from pretenders.census import CensusReport
 from pretenders.events import PreemptionLedger, composite_event
 
@@ -55,20 +56,30 @@ def census_report(cascade):
 
 @pytest.fixture(scope="session")
 def ledger(cascade):
-    """The claim tables of the build, replayed here apart from
-    ``build_cascade``, as a reference for the tables a cascade lays from
-    its entries.  The replay must find the cascade's winners and skips."""
+    """The claims of the build, replayed here apart from ``build_cascade``,
+    as a reference for the tables a cascade lays from its entries.  The
+    replay must find the cascade's winners and skips.  ``claims[p][r]`` is
+    the q of the first winner whose event holds r mod ``moduli[p]``, read
+    off the cells each ingest clears in the ledger's free mask of p, or
+    561 where none does."""
     with time_limit(TIME_LIMIT_S):
         book = PreemptionLedger()
+        claims = {p: [UNIVERSAL_PRETENDER] * m for p, m in book.moduli.items()}
         winners, skips = [], []
         for q in sieve_and_factor().composites:
             events = composite_event(q)
             res = book.residual(events)
             if res.density:
+                before = {p: bytes(mask) for p, mask in book.masks.items()}
                 book.ingest(events)
                 winners.append(q)
+                for p, mask in book.masks.items():
+                    if mask != before[p]:
+                        for r, (was, now) in enumerate(zip(before[p], mask)):
+                            if was != now:
+                                claims[p][r] = q
             else:
                 skips.append((q, res.empty_primes))
         assert winners == cascade.qs()
         assert skips == list(cascade.skipped)
-        return book
+        return SimpleNamespace(moduli=book.moduli, claims=claims)

@@ -49,6 +49,15 @@ def test_sieve_factorization_reassembles():
             s.factorization(n)
 
 
+def test_sieve_tracked_powers():
+    # per prime, ascending, the largest maximal prime power of a composite
+    assert Sieve(50).tracked_powers == {2: 32, 3: 27, 5: 25, 7: 49, 11: 11,
+                                        13: 13, 17: 17, 19: 19, 23: 23}
+    powers = sieve_and_factor().tracked_powers
+    assert list(powers) == sorted(powers)
+    assert len(powers) == 59 and sum(powers.values()) == 10_010
+
+
 class TestRenderDecimal:
     def test_exact_values_trim_trailing_zeros(self):
         assert render_decimal(Fraction(2)) == "2"

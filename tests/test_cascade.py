@@ -132,13 +132,23 @@ def test_derive_k_m_checks_the_event_against_k(cascade, bend, match):
 def test_derive_k_m_catches_a_free_root_left_unclaimed(cascade):
     # with 0 dropped from the events of 10 and 15, the cells 5, 10, 15 and
     # 20 mod 25 are free when 25 is reached and are 4th roots of 0, yet
-    # 25 does not claim them: check (c) must see the surplus root
+    # 25 does not claim them: check (c) must see the surplus root, left to
+    # the universal entry, or to the very next entry (26 bent to claim 0
+    # mod 5), or free only at lifts mod 125 (22 bent to claim 5, 10, 15
+    # and 20 mod 125, which makes 125 the period of 5)
     assert {cascade.entry_for(q).root_modulus for q in (10, 15)} == {5}
-    bent = Cascade(tuple(e._replace(event=e.event - {0})
-                         if e.q in (10, 15) else e for e in cascade.entries),
-                   cascade.skipped)
-    with pytest.raises(RootDescriptionError, match="entry 25: surplus"):
-        derive_k_m(bent, 25)
+    qs = cascade.qs()
+    assert qs.index(22) < qs.index(25) == qs.index(26) - 1
+    entries = [e._replace(event=e.event - {0}) if e.q in (10, 15) else e
+               for e in cascade.entries]
+    next_claims = [e._replace(prime=5, root_modulus=5, event=frozenset({0}))
+                   if e.q == 26 else e for e in entries]
+    lifts_free = [e._replace(prime=5, root_modulus=125,
+                             event=frozenset({5, 10, 15, 20}))
+                  if e.q == 22 else e for e in entries]
+    for bent in (entries, next_claims, lifts_free):
+        with pytest.raises(RootDescriptionError, match="entry 25: surplus"):
+            derive_k_m(Cascade(tuple(bent), cascade.skipped), 25)
 
 
 def test_entry_169_claims_primitive_twelfth_roots(cascade):

@@ -90,16 +90,20 @@ def test_composite_event_components():
 
 
 def test_ledger_tracked_exponents():
-    ledger = PreemptionLedger()
-    assert ledger.moduli[2] == 2 ** 9
-    assert ledger.moduli[3] == 3 ** 5
-    assert ledger.moduli[5] == 5 ** 3
-    assert ledger.moduli[7] == 7 ** 3
+    powers = SIEVE.tracked_powers
+    assert powers[2] == 2 ** 9
+    assert powers[3] == 3 ** 5
+    assert powers[5] == 5 ** 3
+    assert powers[7] == 7 ** 3
     for p in (11, 13, 17, 19, 23):
-        assert ledger.moduli[p] == p ** 2
-    singles = [p for p, m in ledger.moduli.items() if m == p]
+        assert powers[p] == p ** 2
+    singles = [p for p, m in powers.items() if m == p]
     assert min(singles) == 29 and max(singles) == 277
-    assert len(ledger.moduli) == 59
+    assert len(powers) == 59
+    # the ledger keeps one free mask per tracked power, every cell free
+    ledger = PreemptionLedger()
+    assert ledger.moduli == powers
+    assert {p: mask.count(1) for p, mask in ledger.masks.items()} == powers
 
 
 def test_ledger_residual_before_any_ingest():
@@ -115,10 +119,9 @@ def test_ledger_ingest_then_preempt():
     events = composite_event(4)
     assert ledger.ingest(events) == events[0]   # the event it claimed
     # 4 claims every lift of 0, 1 mod 4 to mod 2^9, and nothing elsewhere
-    assert ledger.claims[2] == [4 if r % 4 < 2 else ledger.unclaimed
-                                for r in range(512)]
-    assert all(set(t) == {ledger.unclaimed}
-               for p, t in ledger.claims.items() if p != 2)
+    assert ledger.masks[2] == bytes(r % 4 > 1 for r in range(512))
+    assert all(set(mask) == {1}
+               for p, mask in ledger.masks.items() if p != 2)
     # 6's component at 3 is untouched, at 2 everything = 0,1 mod 4 is gone
     res = ledger.residual(composite_event(6))
     assert res.density == Fraction(1, 3)
@@ -137,7 +140,7 @@ def test_ledger_residual_after_a_prime_is_exhausted():
     for q, cells in ((6, {0, 1}), (15, {2})):
         ledger.ingest([PrimePowerEvent(q, PrimePower(3, 1),
                                        frozenset(cells))])
-    assert ledger.unclaimed not in ledger.claims[3]
+    assert not any(ledger.masks[3])
     for q in (12, 10):   # constrained at 3, and not
         res = ledger.residual(composite_event(q))
         assert res.density == 0 and res.empty_primes == (3,)
@@ -154,7 +157,7 @@ def test_ledger_rejects_two_nontrivial_components():
 def test_ledger_ingest_of_all_trivial_is_noop():
     ledger = PreemptionLedger()
     assert ledger.ingest(composite_event(561)) is None
-    assert all(set(t) == {ledger.unclaimed} for t in ledger.claims.values())
+    assert all(set(mask) == {1} for mask in ledger.masks.values())
 
 
 def test_blocked_never_fills_a_prime():
@@ -168,8 +171,8 @@ def test_blocked_never_fills_a_prime():
         nontrivial = [ev for ev in events if not ev.trivial]
         if len(nontrivial) <= 1:
             ledger.ingest(events)
-        for p, table in ledger.claims.items():
-            assert ledger.unclaimed in table, f"prime {p} exhausted after q={q}"
+        for p, mask in ledger.masks.items():
+            assert any(mask), f"prime {p} exhausted after q={q}"
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 7])

@@ -116,7 +116,7 @@ def test_classify_matches_oracle_property(cascade, b):
 
 def test_a_classify_of_period_one_has_no_witness(cascade):
     # a classify that gives every base one value has period 1, so no
-    # prime may get a witness; at p = 2 that value is the entry's own q,
+    # prime may get a witness: the tables still differ across each shift,
     # and only the equal shifted value rules the witness out
     value = minimality_witnesses(cascade).witnesses[2].value
     flat = Cascade(cascade.entries, cascade.skipped)
