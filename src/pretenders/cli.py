@@ -17,21 +17,9 @@ I/O trouble.
 import argparse
 import sys
 
+# Each subcommand imports the modules it runs, so that `classify` and
+# `density` load only the cascade.
 from .cascade import build_cascade
-from .census import CensusReport
-from .period import minimality_witnesses, period_constant, periodicity_check, verify_lcm
-from .pretender import primary_pretender_oracle
-from .tables import (
-    format_cascade,
-    format_mod36,
-    format_t3,
-    format_table1,
-    format_table2,
-    gen_mod36,
-    gen_table1,
-    gen_table2,
-    run_regressions,
-)
 
 __all__ = ["entry", "main"]
 
@@ -42,11 +30,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .pretender import primary_pretender_oracle
     print(primary_pretender_oracle(args.base))
     return 0
 
 
 def _cmd_cascade(args) -> int:
+    from .tables import format_cascade
     sys.stdout.write(format_cascade(build_cascade(), args.format))
     return 0
 
@@ -68,6 +58,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_firstbases(args) -> int:
+    from .census import CensusReport
+    from .tables import format_t3
     cascade = build_cascade()
     report = CensusReport.build(cascade, max_base=args.max)
     sys.stdout.write(format_t3(report, "csv"))
@@ -80,6 +72,8 @@ def _cmd_firstbases(args) -> int:
 
 
 def _cmd_period(args) -> int:
+    from .period import (minimality_witnesses, period_constant,
+                         periodicity_check, verify_lcm)
     digits = str(period_constant())
     if args.digits:
         print(digits)
@@ -109,6 +103,9 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .census import CensusReport
+    from .tables import (format_mod36, format_t3, format_table1, format_table2,
+                         gen_mod36, gen_table1, gen_table2)
     cascade = build_cascade()
     if args.which == "t3":   # t3 needs the first bases
         text = format_t3(CensusReport.build(cascade), args.format)
@@ -123,6 +120,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .census import CensusReport
+    from .pretender import primary_pretender_oracle
+    from .tables import run_regressions
     cascade = build_cascade()
     report = CensusReport.build(cascade)
     summary = run_regressions(cascade, report, directory=args.golden)

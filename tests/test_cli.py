@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from pretenders import cli
+# census binds the oracle when it is first imported: import it here, not
+# first while a test has the oracle patched
+import pretenders.census  # noqa: F401
+from pretenders import period, pretender
 from pretenders.cascade import build_cascade
 from pretenders.cli import main
 
@@ -117,8 +120,9 @@ def test_period_command(capsys):
 ])
 def test_period_exits_1_on_a_failed_check(capsys, monkeypatch, check, fail,
                                           line):
-    real = getattr(cli, check)
-    monkeypatch.setattr(cli, check, lambda *a, **kw: fail(real(*a, **kw)))
+    # the command reads each check from its module when it runs
+    real = getattr(period, check)
+    monkeypatch.setattr(period, check, lambda *a, **kw: fail(real(*a, **kw)))
     code, out, _ = run(capsys, "period", "--samples", "10", "--minimality")
     assert code == 1
     assert line in out.split("\n")
@@ -156,7 +160,7 @@ def test_verify_clean(capsys):
 
 
 def test_verify_exits_1_when_the_oracle_disagrees(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "primary_pretender_oracle", lambda b: 4)
+    monkeypatch.setattr(pretender, "primary_pretender_oracle", lambda b: 4)
     code, out, _ = run(capsys, "verify", "--oracle-limit", "10")
     assert code == 1
     assert "t2: ok" in out   # the golden diffs still pass
@@ -348,3 +352,76 @@ def test_runs_without_dataclasses():
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "341\n"
+
+
+# modules that neither `classify` nor `density` runs
+NOT_FOR_CLASSIFY = ("pretenders.census", "pretenders.period",
+                    "pretenders.tables", "pretenders.pretender", "json",
+                    "random", "pathlib", "importlib.resources")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["classify", "2"], NOT_FOR_CLASSIFY),
+    (["density", "4"], NOT_FOR_CLASSIFY),
+    (["period", "--samples", "10", "--minimality"],
+     ("pretenders.census", "pretenders.tables", "json", "pathlib")),
+    (["oracle", "2"],
+     ("pretenders.census", "pretenders.period", "pretenders.tables")),
+], ids=["classify", "density", "period", "oracle"])
+def test_a_subcommand_imports_only_what_it_runs(capsys, argv, absent):
+    # under -S: a site hook may import json, pathlib or importlib.resources
+    # before any package code runs
+    script = ("import sys\n"
+              "from pretenders.cli import main\n"
+              f"code = main({argv!r})\n"
+              f"print(sorted(set({absent!r}) & set(sys.modules)), "
+              "file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=child_env())
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
+    # the same output as the command run in this process
+    assert (0, proc.stdout, "") == run(capsys, *argv)
+    if argv[0] in ("classify", "oracle"):
+        assert proc.stdout == "341\n"
+
+
+API = {"CensusReport": "census", "build_cascade": "cascade",
+       "classify_range": "census", "density_by_residue_count": "census",
+       "derive_k_m": "cascade", "family_check": "cascade",
+       "minimality_witnesses": "period", "periodicity_check": "period",
+       "primary_pretender_oracle": "pretender", "run_regressions": "tables",
+       "verify_lcm": "period", "verify_skipped": "census"}
+
+# run in a fresh interpreter, with the first read of the API as argv[1]
+API_CHECK = """
+import importlib, sys
+import pretenders
+loaded = {n for n in sys.modules if n.startswith("pretenders.")}
+assert loaded == {"pretenders.arith", "pretenders.events",
+                  "pretenders.cascade"}, loaded
+exec(sys.argv[1], {"pretenders": pretenders})
+assert sorted(pretenders.__all__) == sorted(API)
+for name, module in API.items():
+    defined = getattr(importlib.import_module("pretenders." + module), name)
+    assert vars(pretenders)[name] is defined, name   # all bound at once
+star = {}
+exec("from pretenders import *", star)
+assert all(star[name] is vars(pretenders)[name] for name in API)
+try:
+    pretenders.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("pretenders.nope was found")
+"""
+
+
+@pytest.mark.parametrize("first_read", ["pretenders.verify_lcm",
+                                        "from pretenders import *"])
+def test_the_public_api_is_bound_on_its_first_read(first_read):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"API = {API!r}\n{API_CHECK}", first_read],
+        capture_output=True, text=True, timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
