@@ -2,17 +2,19 @@
 
 Walk the composites 4, 6, 8, 9, ... 561 in increasing order, keeping a
 ledger of which bases are already spoken for.  A composite whose event
-set is entirely preempted never wins anything and is skipped (8 and 12
-are the first casualties).  A composite with a positive-density residual
-becomes an *entry*: it is the primary pretender of exactly the bases in
-its residual, and its event is added to the ledger.  The ledger lives
+set is entirely preempted, with no free cell left at some prime it
+constrains, never wins anything and is skipped (8 and 12 are the first
+casualties).  Any other composite becomes an *entry*: it is the primary
+pretender of exactly the unclaimed bases of its event, which are then
+added to the ledger.  The ledger lives
 only as long as the walk: a ``Cascade`` is its entries and skips, and
 every question asked of it afterwards is answered from the entries.
 
 Two facts make the bookkeeping exact.  First, every winner below the
 universal pretender constrains a single prime (checked at build time via
 FormViolation), so the unclaimed bases always form a product of per-prime
-residue sets and each entry's base share is an exact rational.  Second,
+residue sets, and each entry's base share is a ratio of products of cell
+counts, one ``Fraction`` per entry.  Second,
 the final composite 561 pretends to every base, so the leftover density
 is absorbed and the shares sum to exactly 1.
 
@@ -297,11 +299,11 @@ def build_cascade() -> Cascade:
     skipped: list[SkippedComposite] = []
     for q in sieve_and_factor().composites:
         events = composite_event(q)
-        res = ledger.residual(events)
-        if res.density == 0:
-            skipped.append(SkippedComposite(q, res.empty_primes))
+        empty = ledger.residual(events)
+        if empty:
+            skipped.append(SkippedComposite(q, empty))
             continue
-        ev = ledger.ingest(events)   # raises FormViolation on several primes
+        ev, density = ledger.ingest(events)   # FormViolation on 2+ primes
         if ev is not None:
             p = ev.pp.p
             phi = (p - 1) * ev.modulus // p
@@ -311,13 +313,13 @@ def build_cascade() -> Cascade:
                 root_modulus=ev.modulus,
                 prime=p,
                 event=ev.residues,
-                density=res.density,
+                density=density,
             )
         else:
             # universal pretender: every base matches, absorbing the rest
             entry = Characterization(
                 q=q, root_degree=1, root_modulus=1, prime=None,
-                event=frozenset({0}), density=res.density,
+                event=frozenset({0}), density=density,
             )
         entries.append(entry)
     return Cascade(tuple(entries), tuple(skipped))

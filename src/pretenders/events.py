@@ -14,9 +14,14 @@ The ``PreemptionLedger`` serves the cascade build only: ``build_cascade``
 walks the composites with one and lets it go when it returns.  It keeps,
 per prime, a mask over the residues mod the prime's tracked power (the
 sieve's ``tracked_powers``) that marks the cells no winner of the
-least-pretender contest has claimed yet.  Each winner constrains a
-single prime, so the unclaimed bases stay a product of per-prime free
-cells and every residual density is an exact ratio of cell counts.
+least-pretender contest has claimed yet.  Of each composite the walk asks
+only whether its event still holds a free cell at every prime it
+constrains (``residual``).  Each winner constrains a single prime, so the
+unclaimed bases stay a product of per-prime free cells, and ``ingest``
+reads the winner's exact share off running products of the free-cell
+counts.  The walk is one class with those two methods, not a function,
+because the benchmark's tracer (benchmarks/tracing.py) times them by
+name and its tests count 458 ``residual`` calls a build.
 """
 
 from fractions import Fraction
@@ -30,7 +35,6 @@ __all__ = [
     "FormViolation",
     "PrimePowerEvent",
     "PreemptionLedger",
-    "Residual",
     "composite_event",
     "prime_power_event",
 ]
@@ -101,23 +105,6 @@ def composite_event(q: int) -> tuple[PrimePowerEvent, ...]:
     return tuple(prime_power_event(q, pp) for pp in sieve.factorization(q))
 
 
-class Residual(NamedTuple):
-    """Unclaimed slice of a composite's event set at some ledger state.
-
-    ``free`` holds, for every prime the slice constrains, the number of
-    cells (residues mod the tracked power) inside the event and still
-    unclaimed.  The density is the product of free[p] / p**E_p; it is zero
-    exactly when some count is zero.
-    """
-
-    free: dict[int, int]
-    density: Fraction
-
-    @property
-    def empty_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, n in self.free.items() if not n)
-
-
 class PreemptionLedger:
     """Per-prime free-cell masks for the cascade build.
 
@@ -129,49 +116,55 @@ class PreemptionLedger:
         self.moduli = sieve_and_factor().tracked_powers
         self.masks = {p: bytearray(b"\x01") * m
                       for p, m in self.moduli.items()}
-        self._free: dict[int, int] = {}   # free cells per claimed prime
-        # product of _free[p] / moduli[p] over the claimed primes
-        self._num = self._den = 1
+        # free cells per prime, and their running product over the
+        # product of the moduli: the share of bases no winner has claimed
+        self._free = dict(self.moduli)
+        self._num = self._den = prod(self.moduli.values())
 
-    def residual(self, events: tuple[PrimePowerEvent, ...]) -> Residual:
-        """Event set of a composite, ``events``, minus everything already
-        claimed, as per-prime free-cell counts with their exact joint
-        density."""
-        free: dict[int, int] = {}
-        num, den = self._num, self._den
+    def residual(self, events: tuple[PrimePowerEvent, ...]
+                 ) -> tuple[int, ...]:
+        """The primes at which the event set of a composite, ``events``,
+        has no unclaimed cell left: those it constrains, then any other
+        an earlier winner exhausted.  Empty exactly when the composite
+        still matches an unclaimed base, and so wins."""
+        empty: tuple[int, ...] = ()
         for ev in events:
             if not ev.trivial:
-                p, m = ev.pp.p, ev.modulus
-                mask = self.masks[p]
-                n = free[p] = sum(mask[r::m].count(1) for r in ev.residues)
-                # n replaces the claimed prime's factor, or joins the product
-                num *= n
-                den *= self._free.get(p, self.moduli[p])
-        # the constrained primes first, then the other claimed primes; the
-        # second **free puts back the constrained counts over the claimed
-        free = {**free, **self._free, **free}
-        # num is 0 whenever den is: a claimed prime's zero is in both
-        return Residual(free, Fraction(num, den) if num else Fraction(0))
+                mask, m = self.masks[ev.pp.p], ev.modulus
+                for r in ev.residues:
+                    if 1 in mask[r::m]:
+                        break
+                else:
+                    empty += (ev.pp.p,)
+        if not self._num:   # an earlier winner exhausted some prime
+            empty += tuple(p for p, n in self._free.items()
+                           if not n and p not in empty)
+        return empty
 
     def ingest(self, events: tuple[PrimePowerEvent, ...]
-               ) -> PrimePowerEvent | None:
-        """Claim a winner's unclaimed event cells and return the event
+               ) -> tuple[PrimePowerEvent | None, Fraction]:
+        """Claim a winner's unclaimed event cells.  Return the event
         claimed, or None for the universal pretender, which constrains no
-        prime.  The winner must constrain at most one prime; otherwise the
-        product structure would be lost and FormViolation is raised."""
+        prime, with the exact share of bases the winner takes.  The winner
+        must constrain at most one prime; otherwise the product structure
+        would be lost and FormViolation is raised."""
         nontrivial = [ev for ev in events if not ev.trivial]
         if len(nontrivial) > 1:
             primes = [ev.pp.p for ev in nontrivial]
             raise FormViolation(
                 f"winner {events[0].q} constrains several primes {primes}")
         if not nontrivial:
-            return None   # universal pretender: nothing left to claim after it
+            # universal pretender: it takes every base still unclaimed
+            return None, Fraction(self._num, self._den)
         ev = nontrivial[0]
-        mask, m = self.masks[ev.pp.p], ev.modulus
+        p, m = ev.pp.p, ev.modulus
+        mask = self.masks[p]
         zeros = bytes(len(mask) // m)   # m divides the tracked power
         for r in ev.residues:
             mask[r::m] = zeros
-        self._free[ev.pp.p] = mask.count(1)
-        self._num = prod(self._free.values())
-        self._den = prod(self.moduli[p] for p in self._free)
-        return ev
+        old, left = self._free[p], mask.count(1)
+        self._free[p] = left
+        # the old - left cells claimed at p replace its old free cells
+        share = Fraction(self._num * (old - left), self._den * old)
+        self._num = self._num // old * left
+        return ev, share

@@ -20,7 +20,6 @@ transcribed once; nothing here derives from them -- they exist only to be
 diffed against.
 """
 
-import json
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -309,6 +308,7 @@ def _entry_table(cascade: Cascade, fmt: str,
                            "density_den": e.density.denominator,
                            "rarity": e.rarity_display})
     if fmt == "json":
+        import json   # its only use: a CSV or text process never loads it
         return json.dumps(rows, indent=2) + "\n"
     return _csv(",".join(rows[0]), (row.values() for row in rows))
 

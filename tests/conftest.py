@@ -68,8 +68,8 @@ def ledger(cascade):
         winners, skips = [], []
         for q in sieve_and_factor().composites:
             events = composite_event(q)
-            res = book.residual(events)
-            if res.density:
+            empty = book.residual(events)
+            if not empty:
                 before = {p: bytes(mask) for p, mask in book.masks.items()}
                 book.ingest(events)
                 winners.append(q)
@@ -79,7 +79,7 @@ def ledger(cascade):
                             if was != now:
                                 claims[p][r] = q
             else:
-                skips.append((q, res.empty_primes))
+                skips.append((q, empty))
         assert winners == cascade.qs()
         assert skips == list(cascade.skipped)
         return SimpleNamespace(moduli=book.moduli, claims=claims)

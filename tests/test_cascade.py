@@ -249,6 +249,29 @@ def test_each_prime_table_folds_the_ledger(cascade, ledger):
             assert qs[cells[r % period]] == q, (p, r)
 
 
+def test_densities_read_off_the_prime_tables(cascade):
+    # the tables are laid from the entries' events, not from the ledger
+    # that made the densities.  Under CRT their cells are independent and
+    # b's entry is the least index across them, so entry j at p takes
+    # count_p(j)/period_p times, at every other prime, the share of cells
+    # holding an index above j; the universal entry takes each table's
+    # share of its own index.
+    entries = cascade.entries
+    tables = cascade.prime_tables
+    counts = {p: [t.cells.count(j) for j in range(len(entries))]
+              for p, t in tables.items()}
+    total = Fraction(0)
+    for j, e in enumerate(entries):
+        density = Fraction(1)
+        for p, t in tables.items():
+            held = (counts[p][j] if e.prime in (p, None)
+                    else sum(counts[p][j + 1:]))
+            density *= Fraction(held, t.period)
+        assert density == e.density, e.q
+        total += density
+    assert total == 1
+
+
 def test_every_entry_holds_a_cell_of_its_own_table(cascade):
     tables = cascade.prime_tables
     held = [j for j, e in enumerate(cascade.entries)

@@ -367,7 +367,10 @@ NOT_FOR_CLASSIFY = ("pretenders.census", "pretenders.period",
      ("pretenders.census", "pretenders.tables", "json", "pathlib")),
     (["oracle", "2"],
      ("pretenders.census", "pretenders.period", "pretenders.tables")),
-], ids=["classify", "density", "period", "oracle"])
+    # only the JSON listing loads json
+    (["table", "--which", "t2"], ("json",)),
+    (["cascade", "--format", "csv"], ("json",)),
+], ids=["classify", "density", "period", "oracle", "table-t2", "cascade-csv"])
 def test_a_subcommand_imports_only_what_it_runs(capsys, argv, absent):
     # under -S: a site hook may import json, pathlib or importlib.resources
     # before any package code runs

@@ -107,43 +107,49 @@ def test_ledger_tracked_exponents():
 
 
 def test_ledger_residual_before_any_ingest():
+    # nothing is claimed yet, so no composite finds a prime without a
+    # free cell
     ledger = PreemptionLedger()
-    res = ledger.residual(composite_event(4))
-    assert res.free == {2: 256}     # lifts of 0, 1 mod 4 among 2^9 cells
-    assert res.density == Fraction(1, 2)
-    assert not res.empty_primes
+    for q in (4, 6, 8, 9, 12, 561):
+        assert ledger.residual(composite_event(q)) == ()
+    # 4 takes the lifts of 0, 1 mod 4: 256 of the 2^9 cells
+    events = composite_event(4)
+    assert ledger.ingest(events) == (events[0], Fraction(1, 2))
+    assert ledger.masks[2].count(1) == 256
 
 
 def test_ledger_ingest_then_preempt():
     ledger = PreemptionLedger()
     events = composite_event(4)
-    assert ledger.ingest(events) == events[0]   # the event it claimed
+    assert ledger.ingest(events)[0] == events[0]   # the event it claimed
     # 4 claims every lift of 0, 1 mod 4 to mod 2^9, and nothing elsewhere
     assert ledger.masks[2] == bytes(r % 4 > 1 for r in range(512))
     assert all(set(mask) == {1}
                for p, mask in ledger.masks.items() if p != 2)
-    # 6's component at 3 is untouched, at 2 everything = 0,1 mod 4 is gone
-    res = ledger.residual(composite_event(6))
-    assert res.density == Fraction(1, 3)
-    # 6's own prime first, then every claimed prime with its free cells
-    assert list(res.free.items()) == [(3, 162), (2, 256)]
+    # 6's component at 3 is untouched, at 2 everything = 0,1 mod 4 is gone:
+    # 6 takes 162 of the 3^5 cells at 3, on the half of the bases left
+    events6 = composite_event(6)
+    assert ledger.residual(events6) == ()
+    assert ledger.ingest(events6) == (events6[1], Fraction(1, 3))
+    # 9 takes the 27 cells = 8 mod 9 of the 81 that 6 left at 3
+    assert ledger.ingest(composite_event(9))[1] == Fraction(1, 18)
     # 8's residual is empty: its event mod 8 is {0,1}, both preempted by 4
-    res8 = ledger.residual(composite_event(8))
-    assert res8.density == 0
-    assert res8.empty_primes == (2,)
+    assert ledger.residual(composite_event(8)) == (2,)
 
 
 def test_ledger_residual_after_a_prime_is_exhausted():
     # never reached by the cascade (test_blocked_never_fills_a_prime), but
-    # the density stays exact
+    # the share stays exact
     ledger = PreemptionLedger()
-    for q, cells in ((6, {0, 1}), (15, {2})):
-        ledger.ingest([PrimePowerEvent(q, PrimePower(3, 1),
-                                       frozenset(cells))])
+    shares = [ledger.ingest([PrimePowerEvent(q, PrimePower(3, 1),
+                                             frozenset(cells))])[1]
+              for q, cells in ((6, {0, 1}), (15, {2}))]
+    assert shares == [Fraction(2, 3), Fraction(1, 3)]
     assert not any(ledger.masks[3])
     for q in (12, 10):   # constrained at 3, and not
-        res = ledger.residual(composite_event(q))
-        assert res.density == 0 and res.empty_primes == (3,)
+        assert ledger.residual(composite_event(q)) == (3,)
+    # and nothing is left for the universal pretender
+    assert ledger.ingest(composite_event(561)) == (None, 0)
 
 
 def test_ledger_rejects_two_nontrivial_components():
@@ -156,7 +162,8 @@ def test_ledger_rejects_two_nontrivial_components():
 
 def test_ledger_ingest_of_all_trivial_is_noop():
     ledger = PreemptionLedger()
-    assert ledger.ingest(composite_event(561)) is None
+    # the universal pretender claims no cell and takes every base
+    assert ledger.ingest(composite_event(561)) == (None, 1)
     assert all(set(mask) == {1} for mask in ledger.masks.values())
 
 
@@ -165,8 +172,7 @@ def test_blocked_never_fills_a_prime():
     ledger = PreemptionLedger()
     for q in SIEVE.composites:
         events = composite_event(q)
-        res = ledger.residual(events)
-        if res.density == 0:
+        if ledger.residual(events):
             continue
         nontrivial = [ev for ev in events if not ev.trivial]
         if len(nontrivial) <= 1:
