@@ -5,16 +5,16 @@ Arbitrary-precision naturals are Python ints.  Exact rationals are
 densities and rarities never touch floats.  The sieve is a
 smallest-prime-factor table, which gives primality, full factorizations
 into maximal prime powers, and the composite list in one pass; the
-tracked powers are read off the composites' factorizations once.
+tracked powers are read off the composites' factorizations once.  A
+maximal prime power p**e of n is the pair (p, p**e): every reader wants
+the modulus, none the exponent.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple
 
 __all__ = [
-    "PrimePower",
     "Sieve",
     "UNIVERSAL_PRETENDER",
     "crt",
@@ -25,20 +25,6 @@ __all__ = [
 # Smallest composite that pretends to every base (verified in the tests
 # by enumerating all residues); it bounds the one sieve of the package.
 UNIVERSAL_PRETENDER = 561
-
-
-class PrimePower(NamedTuple):
-    """A maximal prime-power divisor p**e of some integer."""
-
-    p: int
-    e: int
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.e
-
-    def __str__(self) -> str:
-        return f"{self.p}^{self.e}" if self.e > 1 else str(self.p)
 
 
 class Sieve:
@@ -64,22 +50,22 @@ class Sieve:
         self._spf = spf
         self.primes = [n for n in range(2, limit + 1) if spf[n] == n]
         self.composites = [n for n in range(4, limit + 1) if spf[n] != n]
-        self._factorizations: dict[int, tuple[PrimePower, ...]] = {}
+        self._factorizations: dict[int, tuple[tuple[int, int], ...]] = {}
         # p first divides the composite 2p (2 first divides 4), so the
         # primes enter in ascending order
         powers = self.tracked_powers = {}
         for n in self.composites:
-            for pp in self.factorization(n):
-                powers[pp.p] = max(powers.get(pp.p, 1), pp.modulus)
+            for p, m in self.factorization(n):
+                powers[p] = max(powers.get(p, 1), m)
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
             raise ValueError(f"{n} outside sieve range [0, {self.limit}]")
         return n >= 2 and self._spf[n] == n
 
-    def factorization(self, n: int) -> tuple[PrimePower, ...]:
-        """Maximal prime powers of n, in increasing prime order; each n is
-        factored once and the tuple kept."""
+    def factorization(self, n: int) -> tuple[tuple[int, int], ...]:
+        """Maximal prime powers of n as (p, p**e) pairs, in increasing
+        prime order; each n is factored once and the tuple kept."""
         if not 2 <= n <= self.limit:
             raise ValueError(f"{n} outside sieve range [2, {self.limit}]")
         factors = self._factorizations.get(n)
@@ -87,12 +73,12 @@ class Sieve:
             out = []
             rest = n
             while rest > 1:
-                p = self._spf[rest]
-                e = 0
+                p = m = self._spf[rest]
+                rest //= p
                 while rest % p == 0:
                     rest //= p
-                    e += 1
-                out.append(PrimePower(p, e))
+                    m *= p
+                out.append((p, m))
             factors = self._factorizations[n] = tuple(out)
         return factors
 

@@ -305,7 +305,7 @@ def build_cascade() -> Cascade:
             continue
         ev, density = ledger.ingest(events)   # FormViolation on 2+ primes
         if ev is not None:
-            p = ev.pp.p
+            p = ev.p
             phi = (p - 1) * ev.modulus // p
             entry = Characterization(
                 q=q,

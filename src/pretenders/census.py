@@ -279,7 +279,7 @@ def density_by_residue_count(cascade: Cascade, q: int) -> Fraction:
     earlier winners' q values, primes and constrained moduli.
     """
     cascade.entry_for(q)   # KeyError unless q is an entry
-    own = {pp.p: pp.modulus for pp in sieve_and_factor().factorization(q)}
+    own = dict(sieve_and_factor().factorization(q))
     moduli = sieve_and_factor().tracked_powers
     num = den = 1
     # a prime that neither q nor an earlier entry constrains has every
@@ -299,7 +299,7 @@ def verify_skipped(cascade: Cascade, q: int) -> bool:
             break
     else:
         raise KeyError(f"{q} is not a skipped composite")
-    own = {pp.p: pp.modulus for pp in sieve_and_factor().factorization(q)}
+    own = dict(sieve_and_factor().factorization(q))
     claims = _claims_before(cascade, q, skip.empty_primes)
     moduli = sieve_and_factor().tracked_powers
     return bool(skip.empty_primes) and all(

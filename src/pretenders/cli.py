@@ -44,17 +44,17 @@ def _cmd_cascade(args) -> int:
 def _cmd_density(args) -> int:
     cascade = build_cascade()
     q = args.q
-    if q in cascade.qs():
+    try:
         e = cascade.entry_for(q)
-        print(f"density: {e.density.numerator}/{e.density.denominator}")
-        print(f"rarity : {e.rarity_display}")
-        return 0
-    if q in {s.q for s in cascade.skipped}:
-        print("density: 0/1")
-        print("rarity : n/a (no bases)")
-        return 0
-    raise ValueError(f"{q} is not a composite below 562 "
-                     "(or is claimed by no entry)")
+    except KeyError:
+        if q in {s.q for s in cascade.skipped}:
+            print("density: 0/1")
+            print("rarity : n/a (no bases)")
+            return 0
+        raise ValueError(f"{q} is not a composite below 562") from None
+    print(f"density: {e.density.numerator}/{e.density.denominator}")
+    print(f"rarity : {e.rarity_display}")
+    return 0
 
 
 def _cmd_firstbases(args) -> int:

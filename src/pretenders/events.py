@@ -1,14 +1,17 @@
 """Residue analysis of the self-power congruence, one prime power at a time.
 
-For composite q and a maximal prime power p**e || q, the congruence
+For composite q and a maximal prime power m = p**e of q, the congruence
 b**q = b (mod q) holds iff it holds modulo every such component, and the
-component condition depends only on b mod p**e.  The *event* of the pair
-(q, p**e) is the set of residues r mod p**e with r**q = r (mod p**e).
-It has a closed form: {0, 1} for p = 2, and for odd p, 0 plus the
-subgroup of order gcd(q-1, phi(p**e)) of the cyclic unit group.  It is
-the full residue system exactly when the component places no constraint
-on b.  The census recounts and a test enumerate the events by pow()
-instead, sharing no code with the closed form.
+component condition depends only on b mod m.  The *event* of the pair
+(q, m) is the set of residues r mod m with r**q = r (mod m).  It has one
+closed form for every prime: 0 plus the units of order dividing
+d = gcd(q-1, phi(m)).  At p = 2, q-1 is odd, so d = 1 and the event is
+{0, 1}; at odd p the unit group is cyclic, and the units form its
+subgroup of order d.  A component whose event is every residue places no
+constraint on b, so a composite's event lists only the components that
+constrain: 341 = 11 * 31 is constrained at 31 alone, since 10 divides
+340, and 561 nowhere.  The census recounts and a test enumerate the
+events by pow() instead, sharing no code with the closed form.
 
 The ``PreemptionLedger`` serves the cascade build only: ``build_cascade``
 walks the composites with one and lets it go when it returns.  It keeps,
@@ -29,7 +32,7 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import NamedTuple
 
-from .arith import PrimePower, sieve_and_factor
+from .arith import sieve_and_factor
 
 __all__ = [
     "FormViolation",
@@ -47,62 +50,55 @@ class FormViolation(RuntimeError):
 
 class PrimePowerEvent(NamedTuple):
     q: int
-    pp: PrimePower
+    p: int
+    modulus: int   # p**e, maximal in q
     residues: frozenset[int]
-
-    @property
-    def modulus(self) -> int:
-        return self.pp.modulus
-
-    @property
-    def trivial(self) -> bool:
-        """True when every residue satisfies the component congruence."""
-        return len(self.residues) == self.modulus
 
 
 @lru_cache(maxsize=None)
-def _generator(pp: PrimePower) -> int:
-    """A generator of the unit group mod p**e, p odd: the least primitive
-    root g mod p, or g + p when g**(p-1) = 1 (mod p**2) and e > 1."""
-    p = pp.p
+def _generator(p: int, m: int) -> int:
+    """A generator of the unit group mod m = p**e, p odd: the least
+    primitive root g mod p, or g + p when g**(p-1) = 1 (mod p**2) and
+    m > p."""
     factors = sieve_and_factor().factorization(p - 1)
     g = next(g for g in range(2, p)
-             if all(pow(g, (p - 1) // f.p, p) != 1 for f in factors))
-    if pp.e > 1 and pow(g, p - 1, p * p) == 1:
+             if all(pow(g, (p - 1) // f, p) != 1 for f, _ in factors))
+    if m > p and pow(g, p - 1, p * p) == 1:
         g += p
     return g
 
 
-def prime_power_event(q: int, pp: PrimePower) -> PrimePowerEvent:
-    """{r mod p**e : r**q = r (mod p**e)} for p**e maximal in q.
+def prime_power_event(q: int, p: int, m: int) -> PrimePowerEvent:
+    """{r mod m : r**q = r (mod m)} for m = p**e maximal in q.
 
-    A nonzero multiple r of p has r**q = 0 (mod p**e), since q >= p**e > e,
-    so besides 0 only units are roots: those with r**(q-1) = 1.  For p = 2
-    q - 1 is odd and the units mod 2**e form a 2-group, so only 1 is.  For
-    odd p the unit group is cyclic of order phi, and the roots are the
-    subgroup of order d = gcd(q-1, phi), generated by g**(phi/d).
+    A nonzero multiple r of p has r**q = 0 (mod m), since q >= m > e, so
+    besides 0 only units are roots: those with r**(q-1) = 1, which form
+    the subgroup of order d = gcd(q-1, phi(m)).  At p = 2, q-1 is odd and
+    phi a power of 2, so d = 1.  When d > 1, p is odd and the unit group
+    cyclic, so the subgroup is generated by g**(phi/d).
     """
-    m = pp.modulus
-    if q % m != 0 or q % (m * pp.p) == 0:
-        raise ValueError(f"{pp} is not a maximal prime power of {q}")
-    if pp.p == 2:
-        return PrimePowerEvent(q, pp, frozenset((0, 1)))
-    phi = m - m // pp.p
+    if (p, m) not in sieve_and_factor().factorization(q):
+        raise ValueError(f"({p}, {m}) is not a maximal prime power of {q}")
+    phi = m - m // p
     d = gcd(q - 1, phi)
-    h = pow(_generator(pp), phi // d, m)
     roots = [0, 1]
-    for _ in range(d - 1):
-        roots.append(roots[-1] * h % m)
+    if d > 1:
+        h = pow(_generator(p, m), phi // d, m)
+        for _ in range(d - 1):
+            roots.append(roots[-1] * h % m)
     # built from a list in increasing order, as enumeration would fill it
-    return PrimePowerEvent(q, pp, frozenset(sorted(roots)))
+    return PrimePowerEvent(q, p, m, frozenset(sorted(roots)))
 
 
 def composite_event(q: int) -> tuple[PrimePowerEvent, ...]:
-    """Per-component events of q, one per maximal prime power."""
+    """The events of q's components that constrain a base: those that are
+    not every residue, in ascending prime order.  Empty for a composite
+    that pretends to every base."""
     sieve = sieve_and_factor()
     if sieve.is_prime(q) or q < 4:
         raise ValueError(f"{q} is not composite")
-    return tuple(prime_power_event(q, pp) for pp in sieve.factorization(q))
+    events = (prime_power_event(q, p, m) for p, m in sieve.factorization(q))
+    return tuple(ev for ev in events if len(ev.residues) < ev.modulus)
 
 
 class PreemptionLedger:
@@ -129,13 +125,12 @@ class PreemptionLedger:
         still matches an unclaimed base, and so wins."""
         empty: tuple[int, ...] = ()
         for ev in events:
-            if not ev.trivial:
-                mask, m = self.masks[ev.pp.p], ev.modulus
-                for r in ev.residues:
-                    if 1 in mask[r::m]:
-                        break
-                else:
-                    empty += (ev.pp.p,)
+            mask, m = self.masks[ev.p], ev.modulus
+            for r in ev.residues:
+                if 1 in mask[r::m]:
+                    break
+            else:
+                empty += (ev.p,)
         if not self._num:   # an earlier winner exhausted some prime
             empty += tuple(p for p, n in self._free.items()
                            if not n and p not in empty)
@@ -148,16 +143,15 @@ class PreemptionLedger:
         prime, with the exact share of bases the winner takes.  The winner
         must constrain at most one prime; otherwise the product structure
         would be lost and FormViolation is raised."""
-        nontrivial = [ev for ev in events if not ev.trivial]
-        if len(nontrivial) > 1:
-            primes = [ev.pp.p for ev in nontrivial]
+        if len(events) > 1:
+            primes = [ev.p for ev in events]
             raise FormViolation(
                 f"winner {events[0].q} constrains several primes {primes}")
-        if not nontrivial:
+        if not events:
             # universal pretender: it takes every base still unclaimed
             return None, Fraction(self._num, self._den)
-        ev = nontrivial[0]
-        p, m = ev.pp.p, ev.modulus
+        ev = events[0]
+        p, m = ev.p, ev.modulus
         mask = self.masks[p]
         zeros = bytes(len(mask) // m)   # m divides the tracked power
         for r in ev.residues:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from pretenders.arith import (
-    PrimePower,
     Sieve,
     crt,
     render_decimal,
@@ -13,10 +12,11 @@ from pretenders.arith import (
 
 
 def test_prime_power_basics():
-    pp = PrimePower(3, 4)
-    assert pp.modulus == 81
-    assert str(pp) == "3^4"
-    assert str(PrimePower(7, 1)) == "7"
+    # a maximal prime power p**e is the pair (p, p**e)
+    s = Sieve(100)
+    assert s.factorization(81) == ((3, 81),)
+    assert s.factorization(7) == ((7, 7),)
+    assert s.factorization(90) == ((2, 2), (3, 9), (5, 5))
 
 
 def test_sieve_primes_and_composites():
@@ -34,13 +34,17 @@ def test_sieve_factorization_reassembles():
     for n in range(2, 2001):
         facs = s.factorization(n)
         prod = 1
-        for pp in facs:
-            prod *= pp.modulus
-            assert s.is_prime(pp.p)
+        for p, m in facs:
+            prod *= m
+            assert s.is_prime(p)
+            # m is a positive power of p, and the largest dividing n
+            e = 1
+            while p ** e < m:
+                e += 1
+            assert p ** e == m and n % (m * p) != 0
         assert prod == n
-        # exponents positive, primes strictly increasing
-        assert all(pp.e >= 1 for pp in facs)
-        assert [pp.p for pp in facs] == sorted({pp.p for pp in facs})
+        # primes strictly increasing
+        assert [p for p, _ in facs] == sorted({p for p, _ in facs})
     # each n is factored once: a second call hands back the same tuple
     for n in (2, 1024, 2000):
         assert s.factorization(n) is s.factorization(n)

@@ -40,6 +40,18 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# Cases whose stderr is argparse's top-level usage, which Python 3.13
+# wraps differently and whose later releases stop quoting the choices.
+# Their stderr is compared with every run of whitespace made one space
+# and the quotes dropped, so the usage, the message and the token named
+# are still pinned on every version.
+ARGPARSE_USAGE = {"error-bad-command", "error-no-command"}
+
+
+def unwrapped(text: str) -> str:
+    return " ".join(text.replace("'", "").split())
+
+
 def stdout_of(name: str) -> str:
     return (DATA / f"{name}.out").read_text(encoding="utf-8")
 
@@ -65,8 +77,11 @@ def test_cli_output_matches_its_snapshot(case, monkeypatch):
     code, out, err = run(case["argv"])
     command = shlex.join(["pretenders", *case["argv"]])
     assert code == case["exit"], f"{command}: exit {code}"
+    want_err = case["stderr"]
+    if case["name"] in ARGPARSE_USAGE:
+        want_err, err = unwrapped(want_err), unwrapped(err)
     for stream, want, got in (("stdout", stdout_of(case["name"]), out),
-                              ("stderr", case["stderr"], err)):
+                              ("stderr", want_err, err)):
         assert got == want, \
             f"{command}: {stream} {first_difference(want, got)}"
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pretenders.arith import PrimePower, sieve_and_factor
+from pretenders.arith import sieve_and_factor
 from pretenders.events import (
     FormViolation,
     PreemptionLedger,
@@ -15,42 +15,50 @@ from pretenders.events import (
 )
 
 SIEVE = sieve_and_factor()
-COMPONENTS = [(q, pp) for q in SIEVE.composites
-              for pp in SIEVE.factorization(q)]
+COMPONENTS = [(q, p, m) for q in SIEVE.composites
+              for p, m in SIEVE.factorization(q)]
 
 
 def test_event_enumeration_spots():
-    assert prime_power_event(10, PrimePower(5, 1)).residues == {0, 1}
-    assert prime_power_event(6, PrimePower(3, 1)).residues == {0, 1}
-    assert prime_power_event(4, PrimePower(2, 2)).residues == {0, 1}
+    assert prime_power_event(10, 5, 5).residues == {0, 1}
+    assert prime_power_event(6, 3, 3).residues == {0, 1}
+    assert prime_power_event(4, 2, 4).residues == {0, 1}
     # 9 at 3^2: units of order dividing gcd(8, 6) = 2
-    assert prime_power_event(9, PrimePower(3, 2)).residues == {0, 1, 8}
+    assert prime_power_event(9, 3, 9).residues == {0, 1, 8}
+    # at 2, q - 1 is odd: only 0 and 1, whatever the power
+    assert prime_power_event(512, 2, 512).residues == {0, 1}
 
 
 def test_closed_form_matches_enumeration_on_every_component():
     assert len(COMPONENTS) == 1041
-    for q, pp in COMPONENTS:
-        m = pp.modulus
+    constraining = {}
+    for q, p, m in COMPONENTS:
         enumerated = {r for r in range(m) if pow(r, q, m) == r}
-        assert prime_power_event(q, pp).residues == enumerated, (q, pp)
+        ev = prime_power_event(q, p, m)
+        assert ev == (q, p, m, enumerated), (q, p, m)
+        if len(enumerated) < m:
+            constraining.setdefault(q, []).append(ev)
+    # a composite's event holds exactly its components that are not full
+    assert sum(map(len, constraining.values())) == 801
+    for q in SIEVE.composites:
+        assert composite_event(q) == tuple(constraining.get(q, ())), q
 
 
 def test_generator_has_full_order_at_every_odd_prime_power():
-    powers = {pp for _, pp in COMPONENTS if pp.p != 2}
+    powers = {(p, m) for _, p, m in COMPONENTS if p != 2}
     assert len(powers) == 71
-    for pp in powers:
-        m = pp.modulus
-        g = _generator(pp)
+    for p, m in powers:
+        g = _generator(p, m)
         order, x = 1, g % m
         while x != 1:
             order, x = order + 1, x * g % m
-        assert order == m - m // pp.p, pp
+        assert order == m - m // p, (p, m)
 
 
 def test_event_always_contains_zero_and_one():
     for q in (4, 6, 9, 10, 15, 21, 25, 341, 561):
-        for pp in SIEVE.factorization(q):
-            ev = prime_power_event(q, pp)
+        for p, m in SIEVE.factorization(q):
+            ev = prime_power_event(q, p, m)
             assert {0, 1} <= ev.residues
 
 
@@ -59,34 +67,40 @@ def test_event_cardinality_for_single_primes():
     rng = random.Random(21)
     for _ in range(200):
         q = rng.choice(SIEVE.composites)
-        for pp in SIEVE.factorization(q):
-            if pp.e != 1:
+        for p, m in SIEVE.factorization(q):
+            if m != p:
                 continue
-            ev = prime_power_event(q, pp)
-            assert len(ev.residues) == 1 + math.gcd(q - 1, pp.p - 1)
+            ev = prime_power_event(q, p, m)
+            assert len(ev.residues) == 1 + math.gcd(q - 1, p - 1)
 
 
 def test_event_trivial_means_full():
-    ev = prime_power_event(6, PrimePower(2, 1))   # r^6 = r mod 2 always
-    assert ev.trivial
+    ev = prime_power_event(6, 2, 2)   # r^6 = r mod 2 always
     assert ev.residues == {0, 1}
-    assert not prime_power_event(10, PrimePower(5, 1)).trivial
-    # the universal pretender is trivial at every component
-    assert all(c.trivial for c in composite_event(561))
+    # a full component constrains nothing, so 6's event is its part at 3
+    assert composite_event(6) == (prime_power_event(6, 3, 3),)
+    assert composite_event(10) == (prime_power_event(10, 5, 5),)
+    # the universal pretender is full at every component
+    assert composite_event(561) == ()
 
 
 def test_event_requires_exact_prime_power_of_q():
     with pytest.raises(ValueError):
-        prime_power_event(12, PrimePower(2, 1))   # 4 divides 12
+        prime_power_event(12, 2, 2)   # 4 divides 12
     with pytest.raises(ValueError):
-        prime_power_event(12, PrimePower(2, 3))   # 8 does not divide 12
-    prime_power_event(12, PrimePower(2, 2))       # exact: fine
+        prime_power_event(12, 2, 8)   # 8 does not divide 12
+    with pytest.raises(ValueError):
+        prime_power_event(30, 2, 6)   # 6 is not a power of 2
+    prime_power_event(12, 2, 4)       # exact: fine
 
 
 def test_composite_event_components():
+    # 10 divides 340, so 341 = 11 * 31 passes at 11 for every base; at 31
+    # the event is 0 and the units of order gcd(340, 30) = 10
     evs = composite_event(341)
-    assert [ev.pp.p for ev in evs] == [11, 31]
-    assert [len(ev.residues) for ev in evs] == [11, 11]   # 1 + gcd(340, p-1)
+    assert evs == (prime_power_event(341, 31, 31),)
+    assert len(evs[0].residues) == 11
+    assert len(prime_power_event(341, 11, 11).residues) == 11   # full
 
 
 def test_ledger_tracked_exponents():
@@ -126,11 +140,11 @@ def test_ledger_ingest_then_preempt():
     assert ledger.masks[2] == bytes(r % 4 > 1 for r in range(512))
     assert all(set(mask) == {1}
                for p, mask in ledger.masks.items() if p != 2)
-    # 6's component at 3 is untouched, at 2 everything = 0,1 mod 4 is gone:
-    # 6 takes 162 of the 3^5 cells at 3, on the half of the bases left
+    # 6 constrains only 3, since every residue mod 2 passes: it takes 162
+    # of the 3^5 cells at 3, on the half of the bases 4 left
     events6 = composite_event(6)
     assert ledger.residual(events6) == ()
-    assert ledger.ingest(events6) == (events6[1], Fraction(1, 3))
+    assert ledger.ingest(events6) == (events6[0], Fraction(1, 3))
     # 9 takes the 27 cells = 8 mod 9 of the 81 that 6 left at 3
     assert ledger.ingest(composite_event(9))[1] == Fraction(1, 18)
     # 8's residual is empty: its event mod 8 is {0,1}, both preempted by 4
@@ -141,8 +155,7 @@ def test_ledger_residual_after_a_prime_is_exhausted():
     # never reached by the cascade (test_blocked_never_fills_a_prime), but
     # the share stays exact
     ledger = PreemptionLedger()
-    shares = [ledger.ingest([PrimePowerEvent(q, PrimePower(3, 1),
-                                             frozenset(cells))])[1]
+    shares = [ledger.ingest([PrimePowerEvent(q, 3, 3, frozenset(cells))])[1]
               for q, cells in ((6, {0, 1}), (15, {2}))]
     assert shares == [Fraction(2, 3), Fraction(1, 3)]
     assert not any(ledger.masks[3])
@@ -154,8 +167,8 @@ def test_ledger_residual_after_a_prime_is_exhausted():
 
 def test_ledger_rejects_two_nontrivial_components():
     ledger = PreemptionLedger()
-    fake = [PrimePowerEvent(35, PrimePower(5, 1), frozenset({0, 1})),
-            PrimePowerEvent(35, PrimePower(7, 1), frozenset({0, 1}))]
+    fake = [PrimePowerEvent(35, 5, 5, frozenset({0, 1})),
+            PrimePowerEvent(35, 7, 7, frozenset({0, 1}))]
     with pytest.raises(FormViolation):
         ledger.ingest(fake)
 
@@ -174,8 +187,7 @@ def test_blocked_never_fills_a_prime():
         events = composite_event(q)
         if ledger.residual(events):
             continue
-        nontrivial = [ev for ev in events if not ev.trivial]
-        if len(nontrivial) <= 1:
+        if len(events) <= 1:
             ledger.ingest(events)
         for p, mask in ledger.masks.items():
             assert any(mask), f"prime {p} exhausted after q={q}"
