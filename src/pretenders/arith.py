@@ -10,7 +10,6 @@ maximal prime power p**e of n is the pair (p, p**e): every reader wants
 the modulus, none the exponent.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -89,7 +88,7 @@ def sieve_and_factor() -> Sieve:
     return Sieve(UNIVERSAL_PRETENDER)
 
 
-def render_decimal(x: Fraction) -> str:
+def render_decimal(x: "Fraction") -> str:
     """Render an exact rational to two decimals, half-to-even, then trim
     trailing zeros (and a bare trailing point).
 

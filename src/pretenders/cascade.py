@@ -1,14 +1,15 @@
 """The decision list for the least-composite self-power match.
 
 Walk the composites 4, 6, 8, 9, ... 561 in increasing order, keeping a
-ledger of which bases are already spoken for.  A composite whose event
-set is entirely preempted, with no free cell left at some prime it
-constrains, never wins anything and is skipped (8 and 12 are the first
-casualties).  Any other composite becomes an *entry*: it is the primary
-pretender of exactly the unclaimed bases of its event, which are then
-added to the ledger.  The ledger lives
-only as long as the walk: a ``Cascade`` is its entries and skips, and
-every question asked of it afterwards is answered from the entries.
+ledger of which bases are already spoken for.  The ledger's ``residual``
+answers at which primes a composite constrains its event has no free
+cell left; a composite with such a prime never wins anything and is
+skipped (8 and 12 are the first casualties).  Any other composite is an
+*entry*: the primary pretender of exactly the unclaimed bases of its
+event, which the ledger's ``ingest`` claims, answering the exact share.
+The ledger lives only as long as the walk: a ``Cascade`` is its entries
+and skips, and every question asked of it afterwards is answered from
+the entries.
 
 Two facts make the bookkeeping exact.  First, every winner below the
 universal pretender constrains a single prime (checked at build time via
@@ -22,6 +23,7 @@ Each entry also carries a closed-form description: its event modulo the
 constrained prime power m is contained in the k-th roots of 0 or 1
 (mod m) with k = gcd(q-1, phi(m)), and inside the cascade the two sets
 select the same new bases (the surplus roots of 0 are always preempted).
+The event is a function of (p, m, k), so an entry is read off it alone.
 ``derive_k_m`` verifies that description against the per-prime tables.
 
 ``classify`` does not read the description.  Each prime enters the
@@ -303,24 +305,14 @@ def build_cascade() -> Cascade:
         if empty:
             skipped.append(SkippedComposite(q, empty))
             continue
-        ev, density = ledger.ingest(events)   # FormViolation on 2+ primes
-        if ev is not None:
-            p = ev.p
-            phi = (p - 1) * ev.modulus // p
-            entry = Characterization(
-                q=q,
-                root_degree=gcd(q - 1, phi),
-                root_modulus=ev.modulus,
-                prime=p,
-                event=ev.residues,
-                density=density,
-            )
+        density = ledger.ingest(events)   # FormViolation on 2+ primes
+        if events:
+            (ev,) = events
+            entry = Characterization(q, ev.degree, ev.modulus, ev.p,
+                                     ev.residues, density)
         else:
             # universal pretender: every base matches, absorbing the rest
-            entry = Characterization(
-                q=q, root_degree=1, root_modulus=1, prime=None,
-                event=frozenset({0}), density=density,
-            )
+            entry = Characterization(q, 1, 1, None, frozenset({0}), density)
         entries.append(entry)
     return Cascade(tuple(entries), tuple(skipped))
 

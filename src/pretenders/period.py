@@ -76,7 +76,9 @@ class PeriodicityReport(NamedTuple):
 def periodicity_check(cascade: Cascade, samples: int = 1000,
                       seed: int = 20260822) -> PeriodicityReport:
     """classify(b) == classify(b + N) over small bases plus random bases
-    of ``SAMPLE_DIGITS`` digits."""
+    of ``SAMPLE_DIGITS`` digits; a check of no base is refused."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     n = period_constant()
     rng = random.Random(seed)
     bases = list(range(min(samples // 2, 200)))

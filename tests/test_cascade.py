@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,10 @@ from pretenders.census import (density_by_residue_count, first_bases,
 from pretenders.events import PreemptionLedger
 from pretenders.period import minimality_witnesses, period_constant
 from pretenders.tables import format_cascade, load_golden_t3
+
+# every field of every entry and skip of a build, written by an earlier
+# build; the CLI snapshots pin only q, k, m and the densities
+PINNED_BUILD = Path(__file__).parent / "data" / "build.json"
 
 HAND_DENSITIES = {
     4: Fraction(1, 2),
@@ -52,6 +57,20 @@ def test_skipped_are_disjoint_and_complete(cascade):
     assert 8 in skipped and 12 in skipped
     assert not (qs & skipped)
     assert qs | skipped == set(sieve_and_factor().composites)
+
+
+def test_build_matches_the_pinned_build():
+    pinned = json.loads(PINNED_BUILD.read_text())
+    built = build_cascade()
+    assert [(e.q, e.root_degree, e.root_modulus, e.prime, sorted(e.event),
+             f"{e.density.numerator}/{e.density.denominator}")
+            for e in built.entries] == [tuple(row) for row in pinned["entries"]]
+    assert [(s.q, list(s.empty_primes)) for s in built.skipped] == [
+        tuple(row) for row in pinned["skipped"]]
+    # the fields have the types a Characterization and a skip declare
+    assert all(type(e.event) is frozenset and type(e.density) is Fraction
+               for e in built.entries)
+    assert all(type(s.empty_primes) is tuple for s in built.skipped)
 
 
 def test_hand_checked_densities(cascade):

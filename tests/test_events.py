@@ -35,7 +35,8 @@ def test_closed_form_matches_enumeration_on_every_component():
     for q, p, m in COMPONENTS:
         enumerated = {r for r in range(m) if pow(r, q, m) == r}
         ev = prime_power_event(q, p, m)
-        assert ev == (q, p, m, enumerated), (q, p, m)
+        # besides 0, the degree counts the units that are roots
+        assert ev == (q, p, m, len(enumerated) - 1, enumerated), (q, p, m)
         if len(enumerated) < m:
             constraining.setdefault(q, []).append(ev)
     # a composite's event holds exactly its components that are not full
@@ -48,7 +49,7 @@ def test_generator_has_full_order_at_every_odd_prime_power():
     powers = {(p, m) for _, p, m in COMPONENTS if p != 2}
     assert len(powers) == 71
     for p, m in powers:
-        g = _generator(p, m)
+        g = _generator(p)
         order, x = 1, g % m
         while x != 1:
             order, x = order + 1, x * g % m
@@ -127,15 +128,13 @@ def test_ledger_residual_before_any_ingest():
     for q in (4, 6, 8, 9, 12, 561):
         assert ledger.residual(composite_event(q)) == ()
     # 4 takes the lifts of 0, 1 mod 4: 256 of the 2^9 cells
-    events = composite_event(4)
-    assert ledger.ingest(events) == (events[0], Fraction(1, 2))
+    assert ledger.ingest(composite_event(4)) == Fraction(1, 2)
     assert ledger.masks[2].count(1) == 256
 
 
 def test_ledger_ingest_then_preempt():
     ledger = PreemptionLedger()
-    events = composite_event(4)
-    assert ledger.ingest(events)[0] == events[0]   # the event it claimed
+    assert ledger.ingest(composite_event(4)) == Fraction(1, 2)
     # 4 claims every lift of 0, 1 mod 4 to mod 2^9, and nothing elsewhere
     assert ledger.masks[2] == bytes(r % 4 > 1 for r in range(512))
     assert all(set(mask) == {1}
@@ -144,31 +143,29 @@ def test_ledger_ingest_then_preempt():
     # of the 3^5 cells at 3, on the half of the bases 4 left
     events6 = composite_event(6)
     assert ledger.residual(events6) == ()
-    assert ledger.ingest(events6) == (events6[0], Fraction(1, 3))
+    assert ledger.ingest(events6) == Fraction(1, 3)
     # 9 takes the 27 cells = 8 mod 9 of the 81 that 6 left at 3
-    assert ledger.ingest(composite_event(9))[1] == Fraction(1, 18)
+    assert ledger.ingest(composite_event(9)) == Fraction(1, 18)
     # 8's residual is empty: its event mod 8 is {0,1}, both preempted by 4
     assert ledger.residual(composite_event(8)) == (2,)
 
 
-def test_ledger_residual_after_a_prime_is_exhausted():
-    # never reached by the cascade (test_blocked_never_fills_a_prime), but
-    # the share stays exact
+def test_ledger_refuses_to_exhaust_a_prime():
+    # never reached by the cascade (test_blocked_never_fills_a_prime):
+    # with no free cell at 3, no base would be unclaimed, and residual
+    # would have to report 3 for every composite, constrained at 3 or not
     ledger = PreemptionLedger()
-    shares = [ledger.ingest([PrimePowerEvent(q, 3, 3, frozenset(cells))])[1]
-              for q, cells in ((6, {0, 1}), (15, {2}))]
-    assert shares == [Fraction(2, 3), Fraction(1, 3)]
-    assert not any(ledger.masks[3])
-    for q in (12, 10):   # constrained at 3, and not
-        assert ledger.residual(composite_event(q)) == (3,)
-    # and nothing is left for the universal pretender
-    assert ledger.ingest(composite_event(561)) == (None, 0)
+    assert ledger.ingest(
+        [PrimePowerEvent(6, 3, 3, 1, frozenset({0, 1}))]) == Fraction(2, 3)
+    with pytest.raises(FormViolation, match="winner 15 leaves no free "
+                                            "cell at 3"):
+        ledger.ingest([PrimePowerEvent(15, 3, 3, 0, frozenset({2}))])
 
 
 def test_ledger_rejects_two_nontrivial_components():
     ledger = PreemptionLedger()
-    fake = [PrimePowerEvent(35, 5, 5, frozenset({0, 1})),
-            PrimePowerEvent(35, 7, 7, frozenset({0, 1}))]
+    fake = [PrimePowerEvent(35, 5, 5, 1, frozenset({0, 1})),
+            PrimePowerEvent(35, 7, 7, 1, frozenset({0, 1}))]
     with pytest.raises(FormViolation):
         ledger.ingest(fake)
 
@@ -176,7 +173,7 @@ def test_ledger_rejects_two_nontrivial_components():
 def test_ledger_ingest_of_all_trivial_is_noop():
     ledger = PreemptionLedger()
     # the universal pretender claims no cell and takes every base
-    assert ledger.ingest(composite_event(561)) == (None, 1)
+    assert ledger.ingest(composite_event(561)) == 1
     assert all(set(mask) == {1} for mask in ledger.masks.values())
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pretenders.cascade import Cascade
@@ -65,6 +66,13 @@ def test_periodicity_sampled(cascade):
 
 def test_periodicity_alternate_seed(cascade):
     assert periodicity_check(cascade, samples=100, seed=7).ok
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_periodicity_refuses_to_check_no_base(cascade, samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        periodicity_check(cascade, samples=samples)
+    assert periodicity_check(cascade, samples=1).checked == 1
 
 
 def test_periodicity_by_hand(cascade):
