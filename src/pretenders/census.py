@@ -19,34 +19,40 @@ walking them in ascending blocks, the first base that classifies to q is
 its least base.  The walk ends because the candidates hold every base q
 serves, and that set is periodic with positive density.
 
-The density and skip checks recount free cells one prime at a time, from
-raw congruences, so they do not lean on the event machinery or the
-tables they are checking.  Each call makes one pass over the entries and
-groups the (q', modulus) pairs of those before q by the prime each one
-constrains.  For a prime p with tracked power P (the sieve's
-``tracked_powers``: the largest power of p that is a component of a
-composite up to 561), it keeps a byte per cell mod P, zeroes the cells
-that p's group claims (one strided slice per root of each congruence),
-then counts the cells left that satisfy q's own congruence.  A density
-multiplies the counts and the P as plain ints and makes one Fraction; a
-skip check looks only at the primes its skip names.  They read only the
-earlier entries' q, prime and modulus and the sieve; the roots come from
-pow() and are cached per (exponent, modulus) pair.
+The density and skip checks recount free cells from raw congruences, so
+they do not lean on the event machinery or the tables they are checking.
+One walk per cascade answers them all.  It takes the entries and skips
+in ascending q and keeps, for each prime p with tracked power P (the
+sieve's ``tracked_powers``: the largest power of p that is a component
+of a composite up to 561), a byte per cell mod P marking the cells no
+earlier entry claims, and their count.  At each q it reads first: a
+skip counts the free cells that satisfy q's own congruence at each prime
+it names, and an entry counts them at q's own primes.  An entry's
+density is those counts times the free counts at every other prime,
+over the product of the P; the walk keeps the product of the free
+counts as one running int and makes one Fraction per entry.  Then each
+entry at q zeroes the cells of its congruence at its prime, one strided
+slice per root.  The walk reads only the entries' q, prime and modulus,
+the skips' q and named primes and the sieve; the roots come from pow()
+and are cached per (exponent, modulus) pair.  A memo keyed weakly by the
+cascade object keeps the walk's answers, so the first query makes them
+and a cascade that is dropped frees them.
 """
 
 import sys
 import time
 from array import array
 from collections import Counter
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import floor, lcm
+from math import floor, lcm, prod
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from .arith import render_decimal, sieve_and_factor
-from .cascade import Cascade, class_profile, lay_entry_indices
+from .cascade import (Cascade, SkippedComposite, class_profile,
+                      lay_entry_indices)
 from .pretender import primary_pretender_oracle
 
 __all__ = [
@@ -239,69 +245,83 @@ def _self_power_roots(w: int, m: int) -> tuple[int, ...]:
     return tuple(r for r in range(m) if pow(r, w, m) == r)
 
 
-def _claims_before(cascade: Cascade, q: int, primes: Iterable[int]
-                   ) -> dict[int, list[tuple[int, int]]]:
-    """(q', root_modulus) of every entry before q, grouped by the prime
-    each one constrains, for each of ``primes``; one pass over the
-    entries."""
-    claims: dict[int, list[tuple[int, int]]] = {p: [] for p in primes}
-    for e in cascade.entries:
-        if e.q < q and e.prime in claims:
-            claims[e.prime].append((e.q, e.root_modulus))
-    return claims
+def _own_cells(mask: bytearray, q: int, m: int) -> int:
+    """Cells r of ``mask`` still free that satisfy q's own congruence
+    r**q = r (mod m), which every cell does when m is 1; m divides the
+    mask's length."""
+    return sum(mask[s::m].count(1) for s in _self_power_roots(q, m))
 
 
-def _free_cells(tracked: int, claims: list[tuple[int, int]],
-                q: int, own: int) -> int:
-    """Cells r mod ``tracked`` that satisfy q's own congruence
-    r**q = r (mod own), which every cell does when own is 1, and that no
-    (q', m') in ``claims`` holds: none has r**q' = r (mod m').  The
-    claimed cells are zeroed in a byte mask, one strided slice per root,
-    and the free ones counted."""
-    free = bytearray(b"\x01") * tracked
-    for w, m in claims:
-        zeros = bytes(tracked // m)
-        for s in _self_power_roots(w, m):
-            free[s::m] = zeros
-    if own == 1:
-        return free.count(1)
-    return sum(free[s::own].count(1) for s in _self_power_roots(q, own))
+# each cascade's densities and skip verdicts, made on its first query
+# and dropped with it
+_recounts: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _recount(cascade: Cascade
+             ) -> tuple[dict[int, Fraction], dict[int, bool]]:
+    """Every entry's density and every skip's verdict, by q, from one
+    walk over the cascade in ascending q (see the module docstring)."""
+    done = _recounts.get(cascade)
+    if done is not None:
+        return done
+    sieve = sieve_and_factor()
+    masks = {p: bytearray(b"\x01") * m
+             for p, m in sieve.tracked_powers.items()}
+    free = {p: len(mask) for p, mask in masks.items()}
+    # the running product of the free counts, over that of the moduli
+    num = den = prod(free.values())
+    densities: dict[int, Fraction] = {}
+    skips: dict[int, bool] = {}
+    # a skip reads before an entry at its q claims
+    walk = sorted([*cascade.skipped, *cascade.entries],
+                  key=lambda x: (x.q, not isinstance(x, SkippedComposite)))
+    for x in walk:
+        q = x.q
+        own = dict(sieve.factorization(q))
+        if isinstance(x, SkippedComposite):
+            skips[q] = bool(x.empty_primes) and not any(
+                _own_cells(masks[p], q, own.get(p, 1))
+                for p in x.empty_primes)
+            continue
+        # at each of q's primes its own free cells replace the free
+        # count; every other prime keeps its share
+        n, d = num, 1
+        for p, m in own.items():
+            if p in masks:
+                n *= _own_cells(masks[p], q, m)
+                d *= free[p]
+        densities[q] = Fraction(n // d, den) if n else Fraction(0)
+        if x.prime in masks:
+            p, m = x.prime, x.root_modulus
+            mask = masks[p]
+            zeros = bytes(len(mask) // m)
+            for s in _self_power_roots(q, m):
+                mask[s::m] = zeros
+            old, free[p] = free[p], mask.count(1)
+            if old:   # else num is 0 already
+                num = num // old * free[p]
+    done = _recounts[cascade] = densities, skips
+    return done
 
 
 def density_by_residue_count(cascade: Cascade, q: int) -> Fraction:
     """Recount an entry's density from raw congruences.
 
-    For each prime p that q or an earlier entry constrains, mark the cells
-    mod the tracked power P of p that an earlier entry's congruence
-    claims and count the unmarked cells satisfying q's own congruence.
-    The density is the product of the counts over the product of the P.
-    Everything is recomputed with pow(); the only cascade inputs are the
-    earlier winners' q values, primes and constrained moduli.
+    For each prime p, count the cells mod the tracked power P of p that
+    no earlier entry's congruence claims, and at q's own primes only
+    those satisfying q's congruence.  The density is the product of the
+    counts over the product of the P.  Everything is recomputed with
+    pow(); the only cascade inputs are the entries' q values, primes and
+    constrained moduli.
     """
     cascade.entry_for(q)   # KeyError unless q is an entry
-    own = dict(sieve_and_factor().factorization(q))
-    moduli = sieve_and_factor().tracked_powers
-    num = den = 1
-    # a prime that neither q nor an earlier entry constrains has every
-    # cell free, a factor of 1
-    for p, claims in _claims_before(cascade, q, moduli).items():
-        if claims or p in own:
-            num *= _free_cells(moduli[p], claims, q, own.get(p, 1))
-            den *= moduli[p]
-    return Fraction(num, den)
+    return _recount(cascade)[0][q]
 
 
 def verify_skipped(cascade: Cascade, q: int) -> bool:
     """Confirm from raw congruences that a skipped composite truly has an
     empty residual: at every prime it names, no cell is left free."""
-    for skip in cascade.skipped:
-        if skip.q == q:
-            break
-    else:
+    skips = _recount(cascade)[1]
+    if q not in skips:
         raise KeyError(f"{q} is not a skipped composite")
-    own = dict(sieve_and_factor().factorization(q))
-    claims = _claims_before(cascade, q, skip.empty_primes)
-    moduli = sieve_and_factor().tracked_powers
-    return bool(skip.empty_primes) and all(
-        _free_cells(moduli[p], claims[p], q, own.get(p, 1)) == 0
-        for p in skip.empty_primes)
+    return skips[q]

@@ -94,6 +94,11 @@ def prime_power_event(q: int, p: int, m: int) -> PrimePowerEvent:
     """
     if (p, m) not in sieve_and_factor().factorization(q):
         raise ValueError(f"({p}, {m}) is not a maximal prime power of {q}")
+    return _event(q, p, m)
+
+
+def _event(q: int, p: int, m: int) -> PrimePowerEvent:
+    """``prime_power_event`` for a pair already read off q's factorization."""
     d = gcd(q - 1, m - m // p)
     return PrimePowerEvent(q, p, m, d, _roots(p, m, d))
 
@@ -105,7 +110,7 @@ def composite_event(q: int) -> tuple[PrimePowerEvent, ...]:
     sieve = sieve_and_factor()
     if sieve.is_prime(q) or q < 4:
         raise ValueError(f"{q} is not composite")
-    events = (prime_power_event(q, p, m) for p, m in sieve.factorization(q))
+    events = (_event(q, p, m) for p, m in sieve.factorization(q))
     return tuple(ev for ev in events if ev.degree + 1 < ev.modulus)
 
 

@@ -1,5 +1,7 @@
+import gc
 import inspect
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -218,6 +220,35 @@ def test_recount_reads_no_ledger_or_events(cascade, monkeypatch):
     assert len(fresh.skipped) == 326
     for s in fresh.skipped:
         assert verify_skipped(fresh, s.q), s.q
+
+
+def test_recounts_are_kept_per_cascade_object():
+    # the same entry objects without 25 make another cascade with its own
+    # recount: every later entry gains the cells 25 no longer claims
+    fresh = build_cascade()
+    entries = fresh.entries
+    assert [density_by_residue_count(fresh, e.q) for e in entries] == [
+        e.density for e in entries]
+    cut = Cascade(tuple(e for e in entries if e.q != 25), fresh.skipped)
+    later = [e for e in cut.entries if e.q > 25]
+    assert len(later) == 123
+    for e in later:
+        assert density_by_residue_count(cut, e.q) != e.density, e.q
+    for e in entries:
+        assert density_by_residue_count(fresh, e.q) == e.density, e.q
+
+
+def test_recounts_claim_by_q_not_by_position_and_free_their_walk():
+    fresh = build_cascade()
+    *rest, universal = fresh.entries
+    flipped = Cascade((*reversed(rest), universal), fresh.skipped)
+    for e in fresh.entries:
+        assert density_by_residue_count(flipped, e.q) == e.density, e.q
+    assert all(verify_skipped(flipped, s.q) for s in flipped.skipped)
+    ref = weakref.ref(flipped)
+    del flipped
+    gc.collect()
+    assert ref() is None
 
 
 def test_oracle_period_census_prefix(cascade):
