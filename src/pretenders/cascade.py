@@ -40,9 +40,10 @@ no later table holds a smaller index.  The 59 tracked primes fall into
 ``prime_tables`` holds the same facts one prime at a time: per cell mod
 the prime's own period, the least index of an entry at that prime whose
 event holds the cell (8,874 cells in all).  ``class_profile``, the
-first-base search, the minimality witnesses and ``derive_k_m`` read
-these.  Both kinds are laid from the entries alone, on first use, so a
-cascade that is only printed or recounted lays neither.
+minimality witnesses and ``derive_k_m`` read these; the first-base
+search reads both kinds, the joint ones through ``joint_tables``.  Both
+kinds are laid from the entries alone, on first use, so a cascade that
+is only printed or recounted lays neither.
 """
 
 from collections.abc import Sequence
@@ -149,6 +150,14 @@ class Cascade:
                 tables[p] = PrimeTable(period, cells, max(cells))
             self._prime_tables = tables
         return self._prime_tables
+
+    @property
+    def joint_tables(self) -> tuple[tuple[int, bytes, int], ...]:
+        """The tables ``classify`` walks, in ascending prime order and
+        laid on first use: per table its modulus M, the entry index on
+        each cell mod M and the least index in any later table."""
+        walk = self._tables[1]
+        return walk if isinstance(walk, tuple) else self._lay_joint()
 
     def _lay_joint(self) -> tuple:
         """Lay the joint tables in ascending prime order, as (M, entry

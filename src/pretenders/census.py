@@ -10,14 +10,25 @@ indices into q values.
 
 The least base of each entry is found exactly, with no bound.  The bases
 below ``PREFIX`` are classified outright; every entry still unfound is
-then searched over its candidates only.  classify(b) is the least entry
-index on b's cells across the cascade's per-prime tables, so each base
-q serves has q's index on its cell mod the period of q's prime, and its
-class mod ``CLASS_MODULUS`` has q in its ``class_profile``.  Together the
-two conditions pick a few residues mod lcm(``CLASS_MODULUS``, period);
-walking them in ascending blocks, the first base that classifies to q is
-its least base.  The walk ends because the candidates hold every base q
-serves, and that set is periodic with positive density.
+then searched over its candidates only.  Entry j at prime p serves b
+exactly when p's cell at b holds j and every joint table holds an index
+of at least j at b: classify takes the least index across the joint
+tables, and only p's table can hold j.  ``CLASS_MODULUS`` divides the
+modulus of joint table 0, so a class s mod it pins that table to its
+cells congruent to s, and j can serve the class only if j is at most the
+largest of those cells and the largest index of every later table.  The
+candidates join each of p's cells that holds j, by CRT, to each class
+that bound admits and the cell agrees with mod their gcd: a few residues
+mod lcm(``CLASS_MODULUS``, p's period); the universal entry, at no
+prime, takes the admitted classes alone.  The walk takes them in
+ascending blocks and tests each in place against the joint tables with
+j as the threshold, tables 0 and 1 first since they reject most.  The
+first that passes is j's least base; a walk given ``max_base`` stops at
+it.  It is exact because the candidates hold every base j serves.  It
+ends because every candidate residue holds such bases: each table's
+cells are independent per-prime cells by CRT, so every other prime has
+a cell holding j or more in the pinned class, and a base that meets all
+of them is served by j.
 
 The density and skip checks recount free cells from raw congruences, so
 they do not lean on the event machinery or the tables they are checking.
@@ -46,13 +57,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import floor, lcm, prod
+from math import floor, gcd, lcm, prod
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .arith import render_decimal, sieve_and_factor
-from .cascade import (Cascade, SkippedComposite, class_profile,
-                      lay_entry_indices)
+from .cascade import Cascade, SkippedComposite, lay_entry_indices
 from .pretender import primary_pretender_oracle
 
 __all__ = [
@@ -101,30 +111,50 @@ class FirstBaseScan(NamedTuple):
     seconds: float
 
 
-def _least_base(cascade: Cascade, j: int, profiles: list[set[int]],
-                start: int) -> int:
-    """Least base b with classify(b) the q of entry ``j``, given that
-    none lies below ``start``, trying only q's candidates (see the module
-    docstring)."""
+def _candidates(cascade: Cascade, j: int, classes: list[int]
+                ) -> tuple[int, list[int]]:
+    """The period L = lcm(``CLASS_MODULUS``, own period of entry ``j``'s
+    prime) and, ascending, the residues mod L whose cell at that prime
+    holds j and whose class mod ``CLASS_MODULUS`` is in ``classes``: one
+    CRT of each cell with each class it is congruent to mod their gcd."""
     entry = cascade.entries[j]
-    q, width = entry.q, CLASS_MODULUS
-    classes = {r for r, profile in enumerate(profiles) if q in profile}
     if entry.prime is None:   # the universal entry holds no cell of its own
-        period, residues = width, sorted(classes)
+        own, cells = 1, [0]
     else:
-        own, cells, _ = cascade.prime_tables[entry.prime]
-        period = lcm(width, own)
-        residues = sorted(
-            x for r, v in enumerate(cells)
-            if v == j for x in range(r, period, own) if x % width in classes)
-    if not residues:
-        raise RuntimeError(f"entry {q}: the per-prime tables leave it no "
-                           "candidate base")
-    classify = cascade.classify
-    for block in count(start - start % period, period):
+        own, table, _ = cascade.prime_tables[entry.prime]
+        cells = [r for r, v in enumerate(table) if v == j]
+    g = gcd(own, CLASS_MODULUS)
+    n = CLASS_MODULUS // g
+    step = pow(own // g, -1, n)   # own // g times step is 1 mod n
+    return own * n, sorted(r + own * ((s - r) // g * step % n)
+                           for r in cells for s in classes
+                           if (s - r) % g == 0)
+
+
+def _least_base(tables: tuple, j: int, period: int, residues: list[int],
+                start: int, stop: int | None) -> int | None:
+    """Least base that entry ``j`` serves, given that none lies below
+    ``start``: the first candidate on which no joint table holds an index
+    below j (see the module docstring).  None if the walk passes ``stop``
+    first; a base it returns may still lie at ``stop`` or past it."""
+    (m0, c0, _), (m1, c1, _) = tables[:2]
+    first = start - start % period
+    blocks = (count(first, period) if stop is None
+              else range(first, stop, period))
+    for block in blocks:
         for r in residues:
-            if classify(block + r) == q:
-                return block + r
+            b = block + r
+            # tables 0 and 1 reject most candidates; the walk below reads
+            # them again, as classify does, and stops once no later
+            # table holds an index below j
+            if c0[b % m0] < j or c1[b % m1] < j:
+                continue
+            for m, cells, later in tables:
+                if cells[b % m] < j:
+                    break
+                if j <= later:
+                    return b
+    return None
 
 
 def first_bases(cascade: Cascade, max_base: int | None = None
@@ -136,17 +166,34 @@ def first_bases(cascade: Cascade, max_base: int | None = None
     head = classify_range(cascade, 0, PREFIX)
     # a later pair overwrites an earlier one, so the least base is kept
     first = dict(zip(reversed(head), range(PREFIX - 1, -1, -1)))
-    rest = [j for j, e in enumerate(cascade.entries) if e.q not in first]
+    entries = cascade.entries
+    rest = [j for j, e in enumerate(entries) if e.q not in first]
     if rest:
-        profiles = [set(class_profile(cascade, CLASS_MODULUS, r))
-                    for r in range(CLASS_MODULUS)]
+        universal = len(entries) - 1
+        # a table of one cell holding the universal index rejects nothing,
+        # so a cascade with a single joint table is walked the same way
+        tables = (*cascade.joint_tables, (1, bytes([universal]), universal))
+        m0, cells0, _ = tables[0]
+        assert m0 % CLASS_MODULUS == 0, "a class must pin cells of table 0"
+        # no index exceeds the universal one, so the byte searches down
+        # from it find each table's maximum, far cheaper than max()
+        tail = min(next(v for v in range(universal, -1, -1) if v in cells)
+                   for _, cells, _ in tables[1:])
+        bound = [min(max(cells0[s::CLASS_MODULUS]), tail)
+                 for s in range(CLASS_MODULUS)]
         for j in rest:
-            first[cascade.entries[j].q] = _least_base(cascade, j, profiles,
-                                                      PREFIX)
+            classes = [s for s, top in enumerate(bound) if top >= j]
+            period, residues = _candidates(cascade, j, classes)
+            if not residues:
+                raise RuntimeError(f"entry {entries[j].q}: the joint tables "
+                                   "leave it no candidate base")
+            b = _least_base(tables, j, period, residues, PREFIX, max_base)
+            if b is not None:
+                first[entries[j].q] = b
     found = {q: b for q, b in sorted(first.items())
              if max_base is None or b < max_base}
-    return FirstBaseScan(found=found,
-                         missing=tuple(sorted(first.keys() - found.keys())),
+    missing = tuple(sorted(set(cascade.qs()) - found.keys()))
+    return FirstBaseScan(found=found, missing=missing,
                          seconds=time.perf_counter() - t0)
 
 

@@ -8,12 +8,12 @@ classify members of the class; the class shows a definite value
 precisely when a single entry takes all of it.  Only the primes that
 divide M are restricted: 2, 3, 5 and 7 for the moduli 36, 180 and 1260.
 That restriction (``class_profile``, kept beside the tables in
-``cascade.py`` since the first-base search uses it too) produces the
-mod-36 display (values 4, 6, 9 or '?'), the 20x7 grid over the
-undecided classes mod 1260 (values 10, 14, 15, 21 or '?'), and the 32
-columns of the computed-value grid for the classes that stay undecided
-at every modulus dividing 1260.  Each display is a plain dict of cells keyed by its CSV
-key columns; its axes are read off the keys.
+``cascade.py``) produces the mod-36 display (values 4, 6, 9 or '?'), the
+20x7 grid over the undecided classes mod 1260 (values 10, 14, 15, 21 or
+'?'), and the 32 columns of the computed-value grid for the classes that
+stay undecided at every modulus dividing 1260.  Each display is a plain
+dict of cells keyed by its CSV key columns; its axes are read off the
+keys.
 
 The golden copies of these displays ship as CSV assets.  They are data,
 transcribed once; nothing here derives from them -- they exist only to be

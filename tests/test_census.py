@@ -113,11 +113,43 @@ def test_search_alone_finds_every_first_base(cascade, monkeypatch):
     assert first_bases(cascade).found == golden
 
 
+def test_search_alone_finds_first_occurrences_on_another_cascade(
+        cascade, monkeypatch):
+    # the build's entries without 25, as the recount test makes them: every
+    # later entry gains the bases 25 no longer claims, so the first bases
+    # move off golden t3 and pin the walk, not the golden table
+    monkeypatch.setattr(census, "PREFIX", 0)
+    cut = Cascade(tuple(e for e in cascade.entries if e.q != 25),
+                  cascade.skipped)
+    limit = 2**18
+    window = classify_range(cut, 0, limit)
+    first = dict(zip(reversed(window), range(limit - 1, -1, -1)))
+    scan = first_bases(cut, max_base=limit)
+    assert scan.found == first
+    assert scan.missing == tuple(sorted(set(cut.qs()) - set(first)))
+    assert scan.missing
+    golden = {row.q: row.first_base for row in load_golden_t3()}
+    assert any(golden[q] != b for q, b in first.items())
+
+
+def test_search_walks_a_cascade_with_one_joint_table(cascade, monkeypatch):
+    # the entries at 2, 3, 5 and 7 and the universal one share table 0
+    monkeypatch.setattr(census, "PREFIX", 0)
+    small = Cascade(tuple(e for e in cascade.entries
+                          if e.prime in (2, 3, 5, 7, None)), ())
+    assert len(small.joint_tables) == 1
+    window = classify_range(small, 0, 1000)
+    first = dict(zip(reversed(window), range(999, -1, -1)))
+    assert len(first) == len(small) == 10
+    assert first_bases(small).found == first
+
+
 def test_search_stops_when_the_claim_tables_leave_no_candidate(cascade):
     # an entry whose event is widened to every residue mod its prime's
     # period takes every base left, so no later entry serves one: the
-    # search names the first it cannot find, not an endless walk
-    for q, m, named in ((62, 31, 65), (14, 49, 15)):
+    # search names the first it cannot find, not an endless walk.  The
+    # widened entries sit in joint tables 0 (14), 1 (22) and later (62).
+    for q, m, named in ((62, 31, 65), (14, 49, 15), (22, 121, 25)):
         widened = Cascade(
             tuple(e._replace(root_modulus=m, event=frozenset(range(m)))
                   if e.q == q else e for e in cascade.entries),
