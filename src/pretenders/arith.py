@@ -27,17 +27,15 @@ UNIVERSAL_PRETENDER = 561
 
 
 class Sieve:
-    """Primality, factorizations and composites for every n up to ``limit``.
+    """Primality, factorizations and composites for every n up to 561.
 
     ``tracked_powers`` maps each prime, ascending, to its tracked power:
     the largest p**e that is a maximal prime-power factor of some
-    composite up to ``limit``.  Read it only; it is shared.
+    composite up to 561.  Read it only; it is shared.
     """
 
-    def __init__(self, limit: int):
-        if limit < 4:
-            raise ValueError(f"sieve limit must be at least 4, got {limit}")
-        self.limit = limit
+    def __init__(self):
+        self.limit = limit = UNIVERSAL_PRETENDER
         # smallest prime factor of n at index n; 0 for n < 2
         spf = list(range(limit + 1))
         spf[0] = spf[1] = 0
@@ -85,7 +83,7 @@ class Sieve:
 @lru_cache(maxsize=None)
 def sieve_and_factor() -> Sieve:
     """The one sieve, to ``UNIVERSAL_PRETENDER``, built on first use."""
-    return Sieve(UNIVERSAL_PRETENDER)
+    return Sieve()
 
 
 def render_decimal(x: "Fraction") -> str:

@@ -162,14 +162,15 @@ class Cascade:
     def _lay_joint(self) -> tuple:
         """Lay the joint tables in ascending prime order, as (M, entry
         index on each cell mod M, least index in any later table), and
-        keep them in ``_tables`` beside the q of each entry."""
+        keep them in ``_tables`` beside the q of each entry; table 0
+        starts at modulus 1, so every cascade has at least one."""
         entries = self.entries
         # ascending primes share a table while M, the product of their
         # periods, stays within the cap
-        moduli: list[int] = []
-        js: list[list[int]] = []
+        moduli = [1]
+        js: list[list[int]] = [[]]
         for period, group in self._by_prime.values():
-            if moduli and moduli[-1] * period <= JOINT_PERIOD_CAP:
+            if moduli[-1] * period <= JOINT_PERIOD_CAP:
                 moduli[-1] *= period
                 js[-1] += group
             else:
@@ -185,7 +186,7 @@ class Cascade:
             cells = bytes(lay_entry_indices(entries, group + [universal], 0, m))
             walk.append((m, cells, later))
             # a byte search each, much cheaper than min() over the cells
-            later = min(later, next(j for j in group if j in cells))
+            later = min(later, next((j for j in group if j in cells), later))
         walk = tuple(reversed(walk))
         self._tables = self._tables[0], walk
         return walk

@@ -13,22 +13,22 @@ below ``PREFIX`` are classified outright; every entry still unfound is
 then searched over its candidates only.  Entry j at prime p serves b
 exactly when p's cell at b holds j and every joint table holds an index
 of at least j at b: classify takes the least index across the joint
-tables, and only p's table can hold j.  ``CLASS_MODULUS`` divides the
-modulus of joint table 0, so a class s mod it pins that table to its
-cells congruent to s, and j can serve the class only if j is at most the
-largest of those cells and the largest index of every later table.  The
-candidates join each of p's cells that holds j, by CRT, to each class
-that bound admits and the cell agrees with mod their gcd: a few residues
-mod lcm(``CLASS_MODULUS``, p's period); the universal entry, at no
-prime, takes the admitted classes alone.  The walk takes them in
-ascending blocks and tests each in place against the joint tables with
-j as the threshold, tables 0 and 1 first since they reject most.  The
-first that passes is j's least base; a walk given ``max_base`` stops at
-it.  It is exact because the candidates hold every base j serves.  It
-ends because every candidate residue holds such bases: each table's
-cells are independent per-prime cells by CRT, so every other prime has
-a cell holding j or more in the pinned class, and a base that meets all
-of them is served by j.
+tables, and only p's table can hold j.  The class modulus k is the gcd
+of ``CLASS_MODULUS`` and the modulus of joint table 0 (180 on the
+build), so a class s mod k pins that table to its cells congruent to s,
+and j can serve the class only if j is at most the largest of those
+cells and the largest index of every later table.  The candidates join
+each of p's cells that holds j, by CRT, to each class that bound admits
+and the cell agrees with mod their gcd: a few residues mod lcm(k, p's
+period); the universal entry, at no prime, takes the admitted classes
+alone.  The walk takes them in ascending blocks and tests each in place
+against the joint tables with j as the threshold, tables 0 and 1 first
+since they reject most.  The first that passes is j's least base; a walk
+given ``max_base`` stops at it.  It is exact because the candidates hold
+every base j serves.  It ends because every candidate residue holds such
+bases: each table's cells are independent per-prime cells by CRT, so
+every other prime has a cell holding j or more in the pinned class, and
+a base that meets all of them is served by j.
 
 The density and skip checks recount free cells from raw congruences, so
 they do not lean on the event machinery or the tables they are checking.
@@ -111,20 +111,20 @@ class FirstBaseScan(NamedTuple):
     seconds: float
 
 
-def _candidates(cascade: Cascade, j: int, classes: list[int]
+def _candidates(cascade: Cascade, j: int, modulus: int, classes: list[int]
                 ) -> tuple[int, list[int]]:
-    """The period L = lcm(``CLASS_MODULUS``, own period of entry ``j``'s
-    prime) and, ascending, the residues mod L whose cell at that prime
-    holds j and whose class mod ``CLASS_MODULUS`` is in ``classes``: one
-    CRT of each cell with each class it is congruent to mod their gcd."""
+    """The period L = lcm(``modulus``, own period of entry ``j``'s prime)
+    and, ascending, the residues mod L whose cell at that prime holds j
+    and whose class mod ``modulus`` is in ``classes``: one CRT of each
+    cell with each class it is congruent to mod their gcd."""
     entry = cascade.entries[j]
     if entry.prime is None:   # the universal entry holds no cell of its own
         own, cells = 1, [0]
     else:
         own, table, _ = cascade.prime_tables[entry.prime]
         cells = [r for r, v in enumerate(table) if v == j]
-    g = gcd(own, CLASS_MODULUS)
-    n = CLASS_MODULUS // g
+    g = gcd(own, modulus)
+    n = modulus // g
     step = pow(own // g, -1, n)   # own // g times step is 1 mod n
     return own * n, sorted(r + own * ((s - r) // g * step % n)
                            for r in cells for s in classes
@@ -174,16 +174,15 @@ def first_bases(cascade: Cascade, max_base: int | None = None
         # so a cascade with a single joint table is walked the same way
         tables = (*cascade.joint_tables, (1, bytes([universal]), universal))
         m0, cells0, _ = tables[0]
-        assert m0 % CLASS_MODULUS == 0, "a class must pin cells of table 0"
+        k = gcd(CLASS_MODULUS, m0)   # a class mod k pins cells of table 0
         # no index exceeds the universal one, so the byte searches down
         # from it find each table's maximum, far cheaper than max()
         tail = min(next(v for v in range(universal, -1, -1) if v in cells)
                    for _, cells, _ in tables[1:])
-        bound = [min(max(cells0[s::CLASS_MODULUS]), tail)
-                 for s in range(CLASS_MODULUS)]
+        bound = [min(max(cells0[s::k]), tail) for s in range(k)]
         for j in rest:
             classes = [s for s, top in enumerate(bound) if top >= j]
-            period, residues = _candidates(cascade, j, classes)
+            period, residues = _candidates(cascade, j, k, classes)
             if not residues:
                 raise RuntimeError(f"entry {entries[j].q}: the joint tables "
                                    "leave it no candidate base")

@@ -20,7 +20,6 @@ transcribed once; nothing here derives from them -- they exist only to be
 diffed against.
 """
 
-from fractions import Fraction
 from math import prod
 from pathlib import Path
 from typing import NamedTuple
@@ -181,16 +180,19 @@ class GoldenEntry(NamedTuple):
 
 def load_golden_t3(directory=None) -> list[GoldenEntry]:
     """Per-entry summary rows, one per q.  The rarity column is the exact
-    rarity truncated (not rounded) to two decimals, kept as its text."""
+    rarity truncated (not rounded) to two decimals, kept as its text:
+    ASCII digits, then optionally a point and one or two more."""
     name = "t3.csv"
     out = []
     for (q,), row in _parse_csv(name, directory, "q,k,m,first_base,rarity",
                                 1).items():
         k, m, first = (_int(token, name, row) for token in row[1:4])
-        try:
-            Fraction(row[4])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _bad_row(name, f"bad rarity {row[4]!r}", row) from exc
+        whole, point, cents = row[4].partition(".")
+        _int(whole, name, row)
+        if point and len(cents) not in (1, 2):
+            raise _bad_row(name, f"bad rarity {row[4]!r}", row)
+        if point:
+            _int(cents, name, row)
         out.append(GoldenEntry(q, k, m, first, row[4]))
     return out
 

@@ -3,35 +3,35 @@ from fractions import Fraction
 
 import pytest
 
-from pretenders.arith import (
-    Sieve,
-    crt,
-    render_decimal,
-    sieve_and_factor,
-)
+from pretenders.arith import crt, render_decimal, sieve_and_factor
 
 
 def test_prime_power_basics():
     # a maximal prime power p**e is the pair (p, p**e)
-    s = Sieve(100)
+    s = sieve_and_factor()
     assert s.factorization(81) == ((3, 81),)
     assert s.factorization(7) == ((7, 7),)
     assert s.factorization(90) == ((2, 2), (3, 9), (5, 5))
 
 
 def test_sieve_primes_and_composites():
-    s = Sieve(50)
+    # the one sieve runs to the universal pretender, 561
+    s = sieve_and_factor()
     assert s.primes[:8] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert s.composites[:8] == [4, 6, 8, 9, 10, 12, 14, 15]
     assert s.is_prime(47) and not s.is_prime(49)
     assert not s.is_prime(1) and not s.is_prime(0)
-    assert len(s.primes) == 15 and s.primes[-1] == 47
-    assert sieve_and_factor().primes[-1] == 557
+    assert len(s.primes) == 102 and s.primes[-1] == 557
+    assert len(s.composites) == 458 and s.composites[-1] == 561
+    assert sorted(s.primes + s.composites) == list(range(2, 562))
+    for n in (-1, 562):
+        with pytest.raises(ValueError, match="outside sieve range"):
+            s.is_prime(n)
 
 
 def test_sieve_factorization_reassembles():
-    s = Sieve(2000)
-    for n in range(2, 2001):
+    s = sieve_and_factor()
+    for n in range(2, 562):
         facs = s.factorization(n)
         prod = 1
         for p, m in facs:
@@ -46,18 +46,19 @@ def test_sieve_factorization_reassembles():
         # primes strictly increasing
         assert [p for p, _ in facs] == sorted({p for p, _ in facs})
     # each n is factored once: a second call hands back the same tuple
-    for n in (2, 1024, 2000):
+    for n in (2, 512, 561):
         assert s.factorization(n) is s.factorization(n)
-    for n in (0, 1, 2001):
+    for n in (0, 1, 562):
         with pytest.raises(ValueError, match="outside sieve range"):
             s.factorization(n)
 
 
 def test_sieve_tracked_powers():
     # per prime, ascending, the largest maximal prime power of a composite
-    assert Sieve(50).tracked_powers == {2: 32, 3: 27, 5: 25, 7: 49, 11: 11,
-                                        13: 13, 17: 17, 19: 19, 23: 23}
     powers = sieve_and_factor().tracked_powers
+    assert list(powers.items())[:10] == [
+        (2, 512), (3, 243), (5, 125), (7, 343), (11, 121), (13, 169),
+        (17, 289), (19, 361), (23, 529), (29, 29)]
     assert list(powers) == sorted(powers)
     assert len(powers) == 59 and sum(powers.values()) == 10_010
 

@@ -1,14 +1,25 @@
 import gc
 import inspect
+import os
 import random
+import subprocess
+import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pretenders import census, events
-from pretenders.cascade import Cascade, SkippedComposite, build_cascade
+from pretenders.cascade import (
+    Cascade,
+    SkippedComposite,
+    build_cascade,
+    class_profile,
+)
 from pretenders.census import (
     classify_range,
     density_by_residue_count,
@@ -20,6 +31,10 @@ from pretenders.census import (
     verify_skipped,
 )
 from pretenders.tables import format_cascade, format_t3, load_golden_t3
+
+SRC_PATH = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH")]))
 
 
 def test_classify_range_matches_scalar(cascade):
@@ -113,35 +128,123 @@ def test_search_alone_finds_every_first_base(cascade, monkeypatch):
     assert first_bases(cascade).found == golden
 
 
-def test_search_alone_finds_first_occurrences_on_another_cascade(
-        cascade, monkeypatch):
-    # the build's entries without 25, as the recount test makes them: every
-    # later entry gains the bases 25 no longer claims, so the first bases
-    # move off golden t3 and pin the walk, not the golden table
-    monkeypatch.setattr(census, "PREFIX", 0)
-    cut = Cascade(tuple(e for e in cascade.entries if e.q != 25),
-                  cascade.skipped)
-    limit = 2**18
+def _drawn(cascade, keep, primes=None):
+    """The build's non-universal entries whose bit is set in ``keep`` (and
+    that sit at ``primes``, if given), in order, then the universal one."""
+    *rest, universal = cascade.entries
+    picked = (e for i, e in enumerate(rest)
+              if keep >> i & 1 and (primes is None or e.prime in primes))
+    return Cascade((*picked, universal), ())
+
+
+def _reference(entries, b):
+    """The q of the first entry whose event holds b mod its modulus."""
+    return next(e.q for e in entries if b % e.root_modulus in e.event)
+
+
+def _reference_window(entries, n):
+    """``_reference`` for every b in [0, n), an entry at a time: each
+    residue of its event claims the bases no earlier entry holds."""
+    out = [None] * n
+    for e in entries:
+        m = e.root_modulus
+        for r in e.event:
+            for b in range(r, n, m):
+                if out[b] is None:
+                    out[b] = e.q
+    return out
+
+
+# a subset of the 131 non-universal entries as a bit mask: hypothesis
+# draws mostly small masks, so half the draws take the complement, and
+# the subsets run from empty to the whole build; an int shrinks much
+# faster than a list of flags
+ALL = 2**131 - 1
+KEEP = st.builds(lambda mask, flip: mask ^ ALL if flip else mask,
+                 st.integers(0, ALL), st.booleans())
+BASES = st.lists(st.one_of(st.integers(-10**40, 10**40),
+                           st.integers(0, 10**6)), max_size=20)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(KEEP, BASES, st.integers(-10**30, 10**30), st.integers(0, 200))
+def test_classify_matches_the_entries_on_drawn_cascades(cascade, keep, bases,
+                                                        start, n):
+    drawn = _drawn(cascade, keep)
+    entries = drawn.entries
+    assert [drawn.classify(b) for b in bases] == [
+        _reference(entries, b) for b in bases]
+    assert classify_range(drawn, start, start + n).tolist() == [
+        _reference(entries, b) for b in range(start, start + n)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(KEEP, st.sampled_from([0, 2**8, 2**14]))
+def test_search_finds_first_occurrences_on_drawn_cascades(cascade, keep,
+                                                          prefix):
+    drawn = _drawn(cascade, keep)
+    limit = 2**14
+    with patch.object(census, "PREFIX", prefix):
+        scan = first_bases(drawn, max_base=limit)
+    window = _reference_window(drawn.entries, limit)
+    first = dict(zip(reversed(window), range(limit - 1, -1, -1)))
+    assert scan.found == first
+    assert scan.missing == tuple(sorted(set(drawn.qs()) - set(first)))
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(KEEP)
+def test_period_queries_match_the_entries_on_drawn_small_cascades(cascade,
+                                                                   keep):
+    # entries at 2, 3, 5 and 7 alone repeat within the joint period 44,100
+    drawn = _drawn(cascade, keep, primes=(2, 3, 5, 7))
+    period = 44_100
+    window = _reference_window(drawn.entries, period)
+    # one period holds every base an entry serves, so the unbounded
+    # search finds them all there
+    first = dict(zip(reversed(window), range(period - 1, -1, -1)))
+    with patch.object(census, "PREFIX", 0):
+        assert first_bases(drawn).found == first
+    counts = Counter(window)
+    for e in drawn.entries:
+        assert density_by_residue_count(drawn, e.q) == Fraction(
+            counts[e.q], period), e.q
+    for modulus in (36, 180, 1260):
+        for s in range(modulus):
+            assert class_profile(drawn, modulus, s) == sorted(
+                set(window[s::modulus])), (modulus, s)
+
+
+# without 4, 10, 15 and 25, joint table 0 has modulus 441, which 180 does
+# not divide; the search must read its classes off that table, the same
+# with assertions on or stripped by -O
+CUT = (4, 10, 15, 25)
+CUT_SCRIPT = f"""
+from pretenders.cascade import Cascade, build_cascade
+from pretenders.census import classify_range, first_bases
+cut = Cascade(tuple(e for e in build_cascade().entries
+                    if e.q not in {CUT}), ())
+window = classify_range(cut, 0, 2**20)
+first = dict(zip(reversed(window), range(2**20 - 1, -1, -1)))
+found = first_bases(cut, max_base=2**20).found
+print(found == first, found[213])
+"""
+
+
+def test_search_on_a_cascade_whose_table_0_is_not_a_multiple_of_180(
+        cascade):
+    cut = Cascade(tuple(e for e in cascade.entries if e.q not in CUT), ())
+    assert cut.joint_tables[0][0] == 441
+    limit = 2**20
     window = classify_range(cut, 0, limit)
     first = dict(zip(reversed(window), range(limit - 1, -1, -1)))
-    scan = first_bases(cut, max_base=limit)
-    assert scan.found == first
-    assert scan.missing == tuple(sorted(set(cut.qs()) - set(first)))
-    assert scan.missing
-    golden = {row.q: row.first_base for row in load_golden_t3()}
-    assert any(golden[q] != b for q, b in first.items())
-
-
-def test_search_walks_a_cascade_with_one_joint_table(cascade, monkeypatch):
-    # the entries at 2, 3, 5 and 7 and the universal one share table 0
-    monkeypatch.setattr(census, "PREFIX", 0)
-    small = Cascade(tuple(e for e in cascade.entries
-                          if e.prime in (2, 3, 5, 7, None)), ())
-    assert len(small.joint_tables) == 1
-    window = classify_range(small, 0, 1000)
-    first = dict(zip(reversed(window), range(999, -1, -1)))
-    assert len(first) == len(small) == 10
-    assert first_bases(small).found == first
+    found = first_bases(cut, max_base=limit).found
+    assert found == first
+    assert found[213] == 23_216
+    proc = subprocess.run([sys.executable, "-O", "-c", CUT_SCRIPT],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC_PATH})
+    assert (proc.returncode, proc.stdout) == (0, "True 23216\n"), proc.stderr
 
 
 def test_search_stops_when_the_claim_tables_leave_no_candidate(cascade):

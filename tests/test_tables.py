@@ -185,6 +185,9 @@ def test_golden_loader_rejects_bad_cell(asset_copy):
     ("mod36.csv", load_golden_mod36, "a,4"),
     ("t3.csv", load_golden_t3, "4,1,4,0,1/0"),
     ("t2.csv", load_golden_t2, "2,0,3_41"),
+    # a rarity is ASCII digits, then optionally a point and one or two
+    *(("t3.csv", load_golden_t3, f"4,1,4,0,{rarity}")
+      for rarity in ("7/2", "1e2", "2.000", "2_0", " 2")),
 ])
 def test_golden_loader_names_file_and_row_of_a_bad_key(asset_copy, name,
                                                        loader, bad_row):
