@@ -111,11 +111,18 @@ class PrimeTable(NamedTuple):
 
 
 class Cascade:
-    """Immutable decision list; safe to share across threads."""
+    """Immutable decision list; safe to share across threads.  Its
+    entries end with the universal one (root modulus 1), the floor of
+    every table, and number at most 256, so an index fits in a byte; any
+    other shape, no entries included, raises ``ValueError``."""
 
     def __init__(self, entries: tuple[Characterization, ...],
                  skipped: tuple[SkippedComposite, ...]):
-        _check_index_width(entries)
+        if len(entries) > 256:
+            raise ValueError(f"{len(entries)} entries: an entry index must "
+                             "fit in one byte (at most 256 entries)")
+        if not entries or entries[-1].root_modulus != 1:
+            raise ValueError("a cascade must end with the universal entry")
         self.entries = entries
         self.skipped = skipped
         self._by_q = {e.q: e for e in entries}
@@ -142,11 +149,9 @@ class Cascade:
         least index of an entry at the prime whose event holds the cell,
         or the universal entry's where none does."""
         if self._prime_tables is None:
-            universal = len(self.entries) - 1
             tables = {}
             for p, (period, js) in self._by_prime.items():
-                cells = bytes(lay_entry_indices(
-                    self.entries, js + [universal], 0, period))
+                cells = bytes(lay_entry_indices(self, js, 0, period))
                 tables[p] = PrimeTable(period, cells, max(cells))
             self._prime_tables = tables
         return self._prime_tables
@@ -164,7 +169,6 @@ class Cascade:
         index on each cell mod M, least index in any later table), and
         keep them in ``_tables`` beside the q of each entry; table 0
         starts at modulus 1, so every cascade has at least one."""
-        entries = self.entries
         # ascending primes share a table while M, the product of their
         # periods, stays within the cap
         moduli = [1]
@@ -178,12 +182,11 @@ class Cascade:
                 js.append(list(group))
         # No index exceeds the universal entry's, so the last table always
         # ends the walk.
-        universal = len(entries) - 1
         walk = []
-        later = universal
+        later = len(self.entries) - 1
         for m, group in zip(reversed(moduli), reversed(js)):
             group.sort()
-            cells = bytes(lay_entry_indices(entries, group + [universal], 0, m))
+            cells = bytes(lay_entry_indices(self, group, 0, m))
             walk.append((m, cells, later))
             # a byte search each, much cheaper than min() over the cells
             later = min(later, next((j for j in group if j in cells), later))
@@ -237,27 +240,21 @@ class _Unlaid:
         return iter(self.cascade._lay_joint())
 
 
-def _check_index_width(entries: Sequence[Characterization]) -> None:
-    if len(entries) > 256:
-        raise ValueError(f"{len(entries)} entries: an entry index must fit "
-                         "in one byte (at most 256 entries)")
-
-
-def lay_entry_indices(entries: Sequence[Characterization], js: Sequence[int],
+def lay_entry_indices(cascade: Cascade, js: Sequence[int],
                       start: int, n: int) -> bytearray:
     """A byte per base b in [start, start + n): the least j in ``js`` whose
-    entry's event holds b.
+    entry of ``cascade`` holds b in its event, or the universal entry's
+    index where none does.
 
-    The entries are laid from the last j to the first, each residue of an
-    event by one strided slice assignment, so the least j is the one left
-    in its slot.  The last j must be the universal entry, which fills
-    every slot.  Only offsets from ``start`` index the buffer; ``start``
-    is reduced per entry modulus as a Python int, so any start works.
+    Every slot starts at the universal index, the largest a cascade
+    holds.  The entries named are laid over it from the last j to the
+    first, each residue of an event by one strided slice assignment, so
+    the least j is the one left in its slot.  Only offsets from ``start``
+    index the buffer; ``start`` is reduced per entry modulus as a Python
+    int, so any start works.
     """
-    _check_index_width(entries)
-    assert entries[js[-1]].root_modulus == 1, \
-        "the universal entry must come last"
-    idx = bytearray(n)
+    entries = cascade.entries
+    idx = bytearray([len(entries) - 1]) * n
     for j in reversed(js):
         e = entries[j]
         m = e.root_modulus
@@ -396,10 +393,7 @@ def family_check(cascade: Cascade) -> FamilyReport:
         "squares of 17, 19, 23": {17 ** 2, 19 ** 2, 23 ** 2},
         "universal": {UNIVERSAL_PRETENDER},
     }
-    family: set[int] = set()
-    for members in groups.values():
-        assert not family & members, "family groups must be disjoint"
-        family |= members
+    family = set().union(*groups.values())
     derived = set(cascade.qs())
     return FamilyReport(
         matches=family == derived,

@@ -3,10 +3,10 @@
 ``classify_range`` classifies a contiguous base range at once.  It keeps
 a byte per base holding the index of its entry, laid by
 ``cascade.lay_entry_indices`` as the joint tables of ``classify`` are:
-the entries from last to first, each residue of an entry's event by one
-strided slice assignment, so the earliest entry that matches a base is
-the one left in its slot.  Two ``bytes.translate`` tables then turn
-indices into q values.
+over the universal entry's index, the other entries from last to first,
+each residue of an entry's event by one strided slice assignment, so the
+earliest entry that matches a base is the one left in its slot.  Two
+``bytes.translate`` tables then turn indices into q values.
 
 The least base of each entry is found exactly, with no bound.  The bases
 below ``PREFIX`` are classified outright; every entry still unfound is
@@ -91,7 +91,7 @@ def classify_range(cascade: Cascade, start: int, stop: int) -> array:
         raise ValueError(f"classify_range: stop {stop} is below start {start}")
     entries = cascade.entries
     n = stop - start
-    idx = lay_entry_indices(entries, range(len(entries)), start, n)
+    idx = lay_entry_indices(cascade, range(len(entries) - 1), start, n)
     qs = [e.q for e in entries]
     pad = bytes(256 - len(qs))
     low = bytes(q & 0xFF for q in qs) + pad
@@ -159,9 +159,9 @@ def _least_base(tables: tuple, j: int, period: int, residues: list[int],
 
 def first_bases(cascade: Cascade, max_base: int | None = None
                 ) -> FirstBaseScan:
-    """Least base for every entry, exact and unbounded.  With
-    ``max_base``, the entries whose least base is not below it are
-    reported missing."""
+    """Least base for every entry, exact and unbounded; an entry that
+    serves no base raises ``RuntimeError``.  With ``max_base``, the
+    entries with no least base below it are reported missing."""
     t0 = time.perf_counter()
     head = classify_range(cascade, 0, PREFIX)
     # a later pair overwrites an earlier one, so the least base is kept
@@ -184,8 +184,10 @@ def first_bases(cascade: Cascade, max_base: int | None = None
             classes = [s for s, top in enumerate(bound) if top >= j]
             period, residues = _candidates(cascade, j, k, classes)
             if not residues:
-                raise RuntimeError(f"entry {entries[j].q}: the joint tables "
-                                   "leave it no candidate base")
+                if max_base is None:
+                    raise RuntimeError(f"entry {entries[j].q}: the joint "
+                                       "tables leave it no candidate base")
+                continue
             b = _least_base(tables, j, period, residues, PREFIX, max_base)
             if b is not None:
                 first[entries[j].q] = b

@@ -1,6 +1,10 @@
+import ast
 import inspect
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm, prod
 from pathlib import Path
@@ -30,6 +34,7 @@ from pretenders.tables import format_cascade, load_golden_t3
 # every field of every entry and skip of a build, written by an earlier
 # build; the CLI snapshots pin only q, k, m and the densities
 PINNED_BUILD = Path(__file__).parent / "data" / "build.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 HAND_DENSITIES = {
     4: Fraction(1, 2),
@@ -365,16 +370,59 @@ def test_profiles_first_bases_and_witnesses_ignore_the_ledger(
 
 
 def test_layering_refuses_an_index_past_one_byte(cascade):
+    # an entry index is one byte: a cascade of 256 entries lays its
+    # indices, and one of 257 is refused when it is made
     universal = cascade.entries[-1:]
     many = cascade.entries[:-1] * 2
-    fits = many[:255] + universal
-    idx = lay_entry_indices(fits, range(256), -600, 600)
-    assert [fits[j].q for j in idx] == list(map(cascade.classify,
-                                                range(-600, 0)))
+    fits = Cascade(many[:255] + universal, ())
+    idx = lay_entry_indices(fits, range(255), -600, 600)
+    assert [fits.entries[j].q for j in idx] == list(map(cascade.classify,
+                                                        range(-600, 0)))
     with pytest.raises(ValueError, match="at most 256 entries"):
-        lay_entry_indices(many[:256] + universal, range(257), 0, 12)
-    with pytest.raises(ValueError, match="at most 256 entries"):
-        Cascade(many + universal, cascade.skipped)
+        Cascade(many[:256] + universal, cascade.skipped)
+
+
+def test_laying_no_entry_leaves_the_universal_index(cascade):
+    universal = len(cascade) - 1
+    for start, n in ((0, 0), (-7, 50), (2**300 + 1, 9)):
+        assert lay_entry_indices(cascade, [], start, n) == bytes(
+            [universal]) * n
+
+
+# every query reads the last entry as the floor of every table, so a
+# cascade that does not end with the universal entry is refused when it
+# is made, with assertions on or stripped by -O
+BAD_SHAPES = """
+from pretenders.cascade import Cascade, build_cascade
+*rest, universal = build_cascade().entries
+for entries in (rest, [], [universal, *rest]):
+    try:
+        print(Cascade(tuple(entries), ()).classify(10_103))
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_a_cascade_must_end_with_the_universal_entry(cascade):
+    *rest, universal = cascade.entries
+    for entries in (rest, [], [universal, *rest]):
+        with pytest.raises(ValueError, match="end with the universal entry"):
+            Cascade(tuple(entries), ())
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", BAD_SHAPES],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (
+        0, "a cascade must end with the universal entry\n" * 3), proc.stderr
+
+
+def test_the_package_holds_no_assert_statement():
+    # python -O strips an assert, so no check of the package may be one
+    for path in sorted((SRC / "pretenders").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
 
 
 def test_derive_k_m_unknown_q(cascade):

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pretenders import census, events
 from pretenders.cascade import (
@@ -128,13 +128,23 @@ def test_search_alone_finds_every_first_base(cascade, monkeypatch):
     assert first_bases(cascade).found == golden
 
 
-def _drawn(cascade, keep, primes=None):
+def _drawn(cascade, keep, order, primes=None):
     """The build's non-universal entries whose bit is set in ``keep`` (and
-    that sit at ``primes``, if given), in order, then the universal one."""
+    that sit at ``primes``, if given), shuffled by the seed ``order``
+    unless it is 0, then the universal one, with the build's skips."""
     *rest, universal = cascade.entries
-    picked = (e for i, e in enumerate(rest)
-              if keep >> i & 1 and (primes is None or e.prime in primes))
-    return Cascade((*picked, universal), ())
+    picked = [e for i, e in enumerate(rest)
+              if keep >> i & 1 and (primes is None or e.prime in primes)]
+    if order:
+        random.Random(order).shuffle(picked)
+    return Cascade((*picked, universal), cascade.skipped)
+
+
+def _ascending(drawn):
+    """The same entries and skips, the non-universal entries by q."""
+    *rest, universal = drawn.entries
+    return Cascade((*sorted(rest, key=lambda e: e.q), universal),
+                   drawn.skipped)
 
 
 def _reference(entries, b):
@@ -158,19 +168,21 @@ def _reference_window(entries, n):
 # a subset of the 131 non-universal entries as a bit mask: hypothesis
 # draws mostly small masks, so half the draws take the complement, and
 # the subsets run from empty to the whole build; an int shrinks much
-# faster than a list of flags
+# faster than a list of flags.  Their order is drawn as a seed, which
+# shrinks to 0, the ascending order.
 ALL = 2**131 - 1
 KEEP = st.builds(lambda mask, flip: mask ^ ALL if flip else mask,
                  st.integers(0, ALL), st.booleans())
+ORDER = st.integers(0, 2**32)
 BASES = st.lists(st.one_of(st.integers(-10**40, 10**40),
                            st.integers(0, 10**6)), max_size=20)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(KEEP, BASES, st.integers(-10**30, 10**30), st.integers(0, 200))
-def test_classify_matches_the_entries_on_drawn_cascades(cascade, keep, bases,
-                                                        start, n):
-    drawn = _drawn(cascade, keep)
+@given(KEEP, ORDER, BASES, st.integers(-10**30, 10**30), st.integers(0, 200))
+def test_classify_matches_the_entries_on_drawn_cascades(cascade, keep, order,
+                                                        bases, start, n):
+    drawn = _drawn(cascade, keep, order)
     entries = drawn.entries
     assert [drawn.classify(b) for b in bases] == [
         _reference(entries, b) for b in bases]
@@ -179,10 +191,10 @@ def test_classify_matches_the_entries_on_drawn_cascades(cascade, keep, bases,
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(KEEP, st.sampled_from([0, 2**8, 2**14]))
+@given(KEEP, ORDER, st.sampled_from([0, 2**8, 2**14]))
 def test_search_finds_first_occurrences_on_drawn_cascades(cascade, keep,
-                                                          prefix):
-    drawn = _drawn(cascade, keep)
+                                                          order, prefix):
+    drawn = _drawn(cascade, keep, order)
     limit = 2**14
     with patch.object(census, "PREFIX", prefix):
         scan = first_bases(drawn, max_base=limit)
@@ -192,27 +204,52 @@ def test_search_finds_first_occurrences_on_drawn_cascades(cascade, keep,
     assert scan.missing == tuple(sorted(set(drawn.qs()) - set(first)))
 
 
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(KEEP, ORDER)
+@example(keep=ALL, order=1)   # the whole build, shuffled
+def test_recounts_claim_by_q_on_drawn_orders(cascade, keep, order):
+    # the recount walks the entries in ascending q, wherever they sit
+    drawn = _drawn(cascade, keep, order)
+    ascending = _ascending(drawn)
+    for e in drawn.entries:
+        assert (density_by_residue_count(drawn, e.q)
+                == density_by_residue_count(ascending, e.q)), e.q
+    for s in drawn.skipped:
+        assert (verify_skipped(drawn, s.q)
+                == verify_skipped(ascending, s.q)), s.q
+
+
 @settings(derandomize=True, max_examples=8, deadline=None)
-@given(KEEP)
+@given(KEEP, ORDER)
 def test_period_queries_match_the_entries_on_drawn_small_cascades(cascade,
-                                                                   keep):
+                                                                   keep,
+                                                                   order):
     # entries at 2, 3, 5 and 7 alone repeat within the joint period 44,100
-    drawn = _drawn(cascade, keep, primes=(2, 3, 5, 7))
+    drawn = _drawn(cascade, keep, order, primes=(2, 3, 5, 7))
     period = 44_100
     window = _reference_window(drawn.entries, period)
     # one period holds every base an entry serves, so the unbounded
     # search finds them all there
     first = dict(zip(reversed(window), range(period - 1, -1, -1)))
+    # in a drawn order an entry may serve no base, which the unbounded
+    # search names
+    unserved = [q for q in drawn.qs() if q not in first]
     with patch.object(census, "PREFIX", 0):
-        assert first_bases(drawn).found == first
-    counts = Counter(window)
+        if unserved:
+            with pytest.raises(RuntimeError, match=f"entry {unserved[0]}:"):
+                first_bases(drawn)
+        else:
+            assert first_bases(drawn).found == first
+    # the recount claims by q, so it counts the entries in ascending q
+    counts = Counter(_reference_window(_ascending(drawn).entries, period))
     for e in drawn.entries:
         assert density_by_residue_count(drawn, e.q) == Fraction(
             counts[e.q], period), e.q
     for modulus in (36, 180, 1260):
         for s in range(modulus):
-            assert class_profile(drawn, modulus, s) == sorted(
-                set(window[s::modulus])), (modulus, s)
+            held = set(window[s::modulus])
+            assert class_profile(drawn, modulus, s) == [
+                q for q in drawn.qs() if q in held], (modulus, s)
 
 
 # without 4, 10, 15 and 25, joint table 0 has modulus 441, which 180 does
@@ -373,15 +410,11 @@ def test_recounts_are_kept_per_cascade_object():
         assert density_by_residue_count(fresh, e.q) == e.density, e.q
 
 
-def test_recounts_claim_by_q_not_by_position_and_free_their_walk():
+def test_recounts_free_their_walk():
     fresh = build_cascade()
-    *rest, universal = fresh.entries
-    flipped = Cascade((*reversed(rest), universal), fresh.skipped)
-    for e in fresh.entries:
-        assert density_by_residue_count(flipped, e.q) == e.density, e.q
-    assert all(verify_skipped(flipped, s.q) for s in flipped.skipped)
-    ref = weakref.ref(flipped)
-    del flipped
+    assert all(verify_skipped(fresh, s.q) for s in fresh.skipped)
+    ref = weakref.ref(fresh)
+    del fresh
     gc.collect()
     assert ref() is None
 
