@@ -48,20 +48,23 @@ the skips' q and named primes and the sieve; the roots come from pow()
 and are cached per (exponent, modulus) pair.  A memo keyed weakly by the
 cascade object keeps the walk's answers, so the first query makes them
 and a cascade that is dropped frees them.
+
+``diff_cells`` is the one diff of golden against derived keyed cells:
+``tables.run_regressions`` gives it mod36, t1, t2 and the period, and
+``rarity_regression`` the t3 rows as (q, field) cells.
 """
 
 import sys
 import time
 from array import array
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import floor, gcd, lcm, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
-from .arith import render_decimal, sieve_and_factor
+from .arith import sieve_and_factor
 from .cascade import Cascade, SkippedComposite, lay_entry_indices
 from .pretender import primary_pretender_oracle
 
@@ -72,6 +75,7 @@ __all__ = [
     "Mismatch",
     "classify_range",
     "density_by_residue_count",
+    "diff_cells",
     "entry_period_lcm",
     "extremes",
     "first_bases",
@@ -236,37 +240,39 @@ class Mismatch(NamedTuple):
     actual: object
 
 
+def diff_cells(table: str, expected: dict, actual: dict) -> list[Mismatch]:
+    """Every key whose expected and actual cells differ, in key order;
+    a key on one side only reads ``<absent>`` on the other."""
+    out = []
+    for key in sorted(set(expected) | set(actual)):
+        e, a = expected.get(key, "<absent>"), actual.get(key, "<absent>")
+        if e != a:
+            out.append(Mismatch(table, key, e, a))
+    return out
+
+
+def _t3_cells(rows) -> dict[tuple[int, str], object]:
+    """The cells of (q, k, m, first_base, rarity) rows keyed (q, field),
+    each rarity in integer hundredths written as a two-place decimal."""
+    return {(q, field): v for q, k, m, first, r in rows
+            for field, v in (("k", k), ("m", m), ("first_base", first),
+                             ("rarity", f"{r // 100}.{r % 100:02}"))}
+
+
 def rarity_regression(report: CensusReport, golden_rows) -> list[Mismatch]:
     """Diff the derived per-entry summary against golden (q, k, m,
-    first_base, rarity) rows, keyed (q, field).  Fields are compared
-    only when the rows hold each entry's q exactly once.
+    first_base, rarity) rows, keyed (q, field); a q on one side only is
+    a mismatch in each of its four fields.
 
-    The golden rarity column truncates the exact rarity to two places
-    (``rarity_display`` rounds half-to-even instead), so it must equal
-    that truncation exactly.
+    The golden rarity column is the exact rarity truncated (not rounded,
+    as ``rarity_display`` is) to hundredths; the derived one, 1/density,
+    is truncated the same way: 100 * den // num for density num/den.
     """
-    out: list[Mismatch] = []
-    derived = {e.q: e for e in report.cascade.entries}
-    want = Counter(row.q for row in golden_rows)
-    have = Counter(derived.keys())
-    if want != have:
-        return [Mismatch("t3", (q, "q"), want[q], have[q])
-                for q in sorted(want | have) if want[q] != have[q]]
-    for row in golden_rows:
-        e = derived[row.q]
-        if e.root_degree != row.k:
-            out.append(Mismatch("t3", (row.q, "k"), row.k, e.root_degree))
-        if e.root_modulus != row.m:
-            out.append(Mismatch("t3", (row.q, "m"), row.m, e.root_modulus))
-        mine_first = report.first_base.get(row.q)
-        if mine_first != row.first_base:
-            out.append(Mismatch("t3", (row.q, "first_base"),
-                                row.first_base, mine_first))
-        mine = Fraction(floor(100 * e.rarity), 100)
-        if Fraction(row.rarity) != mine:
-            out.append(Mismatch("t3", (row.q, "rarity"), row.rarity,
-                                render_decimal(mine)))
-    return out
+    derived = [(e.q, e.root_degree, e.root_modulus,
+                report.first_base.get(e.q),
+                100 * e.density.denominator // e.density.numerator)
+               for e in report.cascade.entries]
+    return diff_cells("t3", _t3_cells(golden_rows), _t3_cells(derived))
 
 
 # ---------------------------------------------------------------------------

@@ -120,25 +120,25 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .census import CensusReport
+    from .census import CensusReport, diff_cells
     from .pretender import primary_pretender_oracle
     from .tables import run_regressions
     cascade = build_cascade()
     report = CensusReport.build(cascade)
     summary = run_regressions(cascade, report, directory=args.golden)
-    for name in sorted(summary.mismatches):
-        bad = summary.mismatches[name]
-        print(f"{name}: {'ok' if not bad else f'{len(bad)} mismatches'}")
+    diffs = [(name, bad, "mismatches")
+             for name, bad in sorted(summary.mismatches.items())]
+    if args.oracle_limit:
+        bases = range(args.oracle_limit + 1)
+        want = {b: primary_pretender_oracle(b) for b in bases}
+        got = {b: cascade.classify(b) for b in bases}
+        diffs.append((f"oracle agreement on [0, {args.oracle_limit}]",
+                      diff_cells("oracle", want, got), "disagreements"))
+    for label, bad, noun in diffs:
+        print(f"{label}: {'ok' if not bad else f'{len(bad)} {noun}'}")
         for mm in bad[:20]:
             print(f"  {mm.key}: expected {mm.expected}, got {mm.actual}")
-    if args.oracle_limit:
-        bad_bases = [b for b in range(args.oracle_limit + 1)
-                     if cascade.classify(b) != primary_pretender_oracle(b)]
-        print(f"oracle agreement on [0, {args.oracle_limit}]: "
-              f"{'ok' if not bad_bases else f'{len(bad_bases)} disagreements'}")
-        if bad_bases:
-            return 1
-    return 0 if summary.ok else 1
+    return 1 if any(bad for _, bad, _ in diffs) else 0
 
 
 def _int(text: str) -> int:

@@ -17,7 +17,7 @@ keys.
 
 The golden copies of these displays ship as CSV assets.  They are data,
 transcribed once; nothing here derives from them -- they exist only to be
-diffed against.
+diffed against, by ``census.diff_cells``.
 """
 
 from math import prod
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .cascade import Cascade, class_profile
-from .census import CensusReport, Mismatch, rarity_regression
+from .census import CensusReport, Mismatch, diff_cells, rarity_regression
 from .period import period_constant
 
 __all__ = [
@@ -175,25 +175,26 @@ class GoldenEntry(NamedTuple):
     k: int
     m: int
     first_base: int
-    rarity: str
+    rarity: int   # in hundredths
 
 
 def load_golden_t3(directory=None) -> list[GoldenEntry]:
     """Per-entry summary rows, one per q.  The rarity column is the exact
-    rarity truncated (not rounded) to two decimals, kept as its text:
-    ASCII digits, then optionally a point and one or two more."""
+    rarity truncated (not rounded) to two decimals, written as ASCII
+    digits, then optionally a point and one or two more; it is read as
+    an integer count of hundredths."""
     name = "t3.csv"
     out = []
     for (q,), row in _parse_csv(name, directory, "q,k,m,first_base,rarity",
                                 1).items():
         k, m, first = (_int(token, name, row) for token in row[1:4])
         whole, point, cents = row[4].partition(".")
-        _int(whole, name, row)
         if point and len(cents) not in (1, 2):
             raise _bad_row(name, f"bad rarity {row[4]!r}", row)
-        if point:
-            _int(cents, name, row)
-        out.append(GoldenEntry(q, k, m, first, row[4]))
+        rarity = 100 * _int(whole, name, row)
+        if point:   # one decimal counts tenths
+            rarity += _int(cents, name, row) * 10 ** (2 - len(cents))
+        out.append(GoldenEntry(q, k, m, first, rarity))
     return out
 
 
@@ -206,15 +207,6 @@ def load_golden_period(directory=None) -> str:
 
 # ---------------------------------------------------------------------------
 # regression
-
-def _diff_cells(table: str, expected: dict, actual: dict) -> list[Mismatch]:
-    out = []
-    for key in sorted(set(expected) | set(actual)):
-        e, a = expected.get(key, "<absent>"), actual.get(key, "<absent>")
-        if e != a:
-            out.append(Mismatch(table, key, e, a))
-    return out
-
 
 class RegressionSummary(NamedTuple):
     mismatches: dict[str, list[Mismatch]]
@@ -235,13 +227,13 @@ def run_regressions(cascade: Cascade, report: CensusReport,
     d36 = gen_mod36(cascade)
     d1 = gen_table1(cascade, d36)
     return RegressionSummary({
-        "mod36": _diff_cells("mod36", load_golden_mod36(directory), d36),
-        "t1": _diff_cells("t1", load_golden_t1(directory), d1),
-        "t2": _diff_cells("t2", load_golden_t2(directory),
-                          gen_table2(cascade, d1)),
-        "period": _diff_cells("period",
-                              {"digits": load_golden_period(directory)},
-                              {"digits": str(period_constant())}),
+        "mod36": diff_cells("mod36", load_golden_mod36(directory), d36),
+        "t1": diff_cells("t1", load_golden_t1(directory), d1),
+        "t2": diff_cells("t2", load_golden_t2(directory),
+                         gen_table2(cascade, d1)),
+        "period": diff_cells("period",
+                             {"digits": load_golden_period(directory)},
+                             {"digits": str(period_constant())}),
         "t3": rarity_regression(report, load_golden_t3(directory)),
     })
 

@@ -115,7 +115,7 @@ def test_acceptance_04_first_bases(capsys, census_report):
 
 def test_acceptance_05_rarities(capsys, cascade, census_report):
     tol = Fraction(1, 100)
-    golden = {r.q: Fraction(r.rarity) for r in load_golden_t3()}
+    golden = {r.q: Fraction(r.rarity, 100) for r in load_golden_t3()}
     off = [q for q, want in golden.items()
            if abs(Fraction(render_decimal(cascade.entry_for(q).rarity))
                   - want) > tol]

@@ -330,36 +330,36 @@ def test_rarity_regression_flags_out_of_tolerance(census_report):
     rows = load_golden_t3()
     fiddled = [row for row in rows if row.q != 22]
     bad = next(row for row in rows if row.q == 22)
-    fiddled.append(type(bad)(bad.q, bad.k, bad.m, bad.first_base, "216.58"))
+    fiddled.append(bad._replace(rarity=21658))
     hits = rarity_regression(census_report, fiddled)
     assert [m.key for m in hits] == [(22, "rarity")]
     # the golden column is the exact truncation: one cent off is caught,
-    # and the truncation is reported
-    fiddled[-1] = type(bad)(bad.q, bad.k, bad.m, bad.first_base, "216.57")
+    # and both sides are reported as two-place decimals
+    fiddled[-1] = bad._replace(rarity=21657)
     assert [(m.key, m.expected, m.actual)
             for m in rarity_regression(census_report, fiddled)] == [
         ((22, "rarity"), "216.57", "216.56")]
 
 
 def test_rarity_regression_names_each_wrong_field(census_report):
-    # 341 has k = 10, m = 31 and first base 2
+    # 341 has k = 10, m = 31 and first base 2; fields come in key order
     rows = [row._replace(k=11, m=29, first_base=3) if row.q == 341 else row
             for row in load_golden_t3()]
     assert [(m.key, m.expected, m.actual)
             for m in rarity_regression(census_report, rows)] == [
-        ((341, "k"), 11, 10), ((341, "m"), 29, 31),
-        ((341, "first_base"), 3, 2)]
+        ((341, "first_base"), 3, 2), ((341, "k"), 11, 10),
+        ((341, "m"), 29, 31)]
 
 
 def test_rarity_regression_counts_each_q(census_report):
-    # a repeated or missing q is reported even when the set of qs is right
+    # a q missing from the golden rows is absent in each of its four
+    # fields; a repeated q never gets here, as load_golden_t3 refuses it
     rows = load_golden_t3()
-    broken = [row if row.q != 453 else type(row)(453, 1, 151, 1, "99")
-              for row in rows]
-    hits = rarity_regression(census_report, broken + [rows[0]])
-    assert [(m.key, m.expected, m.actual) for m in hits] == [((4, "q"), 2, 1)]
+    assert rows[0].q == 4
     hits = rarity_regression(census_report, rows[1:])
-    assert [(m.key, m.expected, m.actual) for m in hits] == [((4, "q"), 0, 1)]
+    assert [(m.key, m.expected, m.actual) for m in hits] == [
+        ((4, "first_base"), "<absent>", 0), ((4, "k"), "<absent>", 1),
+        ((4, "m"), "<absent>", 4), ((4, "rarity"), "<absent>", "2.00")]
 
 
 def test_density_by_residue_count_small_entries(cascade):

@@ -165,7 +165,13 @@ def test_verify_exits_1_when_the_oracle_disagrees(capsys, monkeypatch):
     assert code == 1
     assert "t2: ok" in out   # the golden diffs still pass
     # classify gives 4 only to the bases 0, 1, 4, 5, 8, 9 of [0, 10]
-    assert "oracle agreement on [0, 10]: 5 disagreements" in out
+    lines = out.splitlines()
+    at = lines.index("oracle agreement on [0, 10]: 5 disagreements")
+    assert lines[at + 1:] == ["  2: expected 4, got 341",
+                              "  3: expected 4, got 6",
+                              "  6: expected 4, got 6",
+                              "  7: expected 4, got 6",
+                              "  10: expected 4, got 6"]
 
 
 def test_verify_flags_mismatch(capsys, tmp_path):
@@ -191,7 +197,26 @@ def test_verify_flags_a_rarity_one_cent_off(capsys, tmp_path):
                        "--oracle-limit", "0")
     assert code == 1
     assert "t3: 1 mismatches" in out
-    assert "(4, 'rarity'): expected 2.01, got 2" in out
+    assert "  (4, 'rarity'): expected 2.01, got 2.00" in out.splitlines()
+
+
+def test_verify_flags_a_missing_t3_row_in_each_field(capsys, tmp_path):
+    for name in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):
+        shutil.copy(ASSET_DIR / name, tmp_path / name)
+    text = (tmp_path / "t3.csv").read_text()
+    row = "453,2,151,10009487,2143037.38\n"
+    assert row in text
+    (tmp_path / "t3.csv").write_text(text.replace(row, ""))
+    code, out, _ = run(capsys, "verify", "--golden", str(tmp_path),
+                       "--oracle-limit", "0")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("t3: 4 mismatches")
+    assert lines[at + 1:] == [
+        "  (453, 'first_base'): expected <absent>, got 10009487",
+        "  (453, 'k'): expected <absent>, got 2",
+        "  (453, 'm'): expected <absent>, got 151",
+        "  (453, 'rarity'): expected <absent>, got 2143037.38"]
 
 
 @pytest.mark.parametrize("name, bad_row", [("t3.csv", "x4,1,4,0,2"),

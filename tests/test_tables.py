@@ -247,6 +247,19 @@ def test_directory_override_loads_same_data(asset_copy):
     assert load_golden_period(asset_copy) == load_golden_period()
 
 
+@pytest.mark.parametrize("rarity", ["2", "2.0", "2.00"])
+def test_golden_rarity_reads_as_hundredths(cascade, census_report,
+                                           asset_copy, rarity):
+    # q = 4 has rarity exactly 2, however many zero cents are written
+    path = asset_copy / "t3.csv"
+    text = path.read_text()
+    assert "\n4,1,4,0,2\n" in text
+    path.write_text(text.replace("\n4,1,4,0,2\n", f"\n4,1,4,0,{rarity}\n"))
+    rows = load_golden_t3(asset_copy)
+    assert rows == load_golden_t3() and rows[0].rarity == 200
+    assert run_regressions(cascade, census_report, asset_copy).ok
+
+
 def test_run_regressions_clean(cascade, census_report):
     summary = run_regressions(cascade, census_report)
     assert summary.ok
