@@ -46,10 +46,9 @@ kinds are laid from the entries alone, on first use, so a cascade that
 is only printed or recounted lays neither.
 """
 
+from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .arith import UNIVERSAL_PRETENDER, render_decimal, sieve_and_factor
 from .events import PreemptionLedger, composite_event
@@ -73,21 +72,21 @@ __all__ = [
 JOINT_PERIOD_CAP = 44_100
 
 
-class Characterization(NamedTuple):
-    """One decision-list entry.  Its insertion-time state can be read off
-    the table of ``prime`` in ``Cascade.prime_tables``: the cells still
+class Characterization(namedtuple(
+        "Characterization", "q root_degree root_modulus prime event density")):
+    """One decision-list entry.  Its ``event``, the residues mod m =
+    ``root_modulus`` (the constrained prime power of ``prime``; 1, with
+    prime None, for the universal entry) that satisfy it, lies in the k-th
+    roots of 0 or 1 (mod m) for k = ``root_degree``; ``density`` is the
+    exact share of bases it claims.  Its insertion-time state can be read
+    off the table of ``prime`` in ``Cascade.prime_tables``: the cells still
     free when q was reached hold q's index or a later one, and the cells
     q claimed hold q's index itself."""
 
-    q: int
-    root_degree: int           # k in "k-th roots of 0 or 1 (mod m)"
-    root_modulus: int          # m: the constrained prime power, 1 if none
-    prime: int | None          # constrained prime, None for the universal entry
-    event: frozenset[int]      # residues mod root_modulus satisfying the event
-    density: Fraction          # exact share of bases claimed by this entry
+    __slots__ = ()
 
     @property
-    def rarity(self) -> Fraction:
+    def rarity(self) -> "Fraction":
         return 1 / self.density
 
     @property
@@ -95,19 +94,16 @@ class Characterization(NamedTuple):
         return render_decimal(self.rarity)
 
 
-class SkippedComposite(NamedTuple):
-    """A composite whose residual was empty: it never wins a base."""
+SkippedComposite = namedtuple("SkippedComposite", "q empty_primes")
+SkippedComposite.__doc__ = """A composite whose residual was empty: its
+event has no free cell left at its ``empty_primes``, so it never wins a
+base."""
 
-    q: int
-    empty_primes: tuple[int, ...]
-
-
-class PrimeTable(NamedTuple):
-    """One tracked prime's entry indices over the prime's own period."""
-
-    period: int    # the lcm of the moduli of the prime's entries
-    cells: bytes   # per cell, the least index of an entry there
-    top: int       # max(cells)
+PrimeTable = namedtuple("PrimeTable", "period cells top")
+PrimeTable.__doc__ = """One tracked prime's entry indices over the
+prime's own ``period``, the lcm of the moduli of its entries: per cell,
+the least index of an entry there, as ``cells`` bytes; ``top`` is
+max(cells)."""
 
 
 class Cascade:
@@ -328,12 +324,10 @@ class RootDescriptionError(RuntimeError):
     """An entry's k-th-roots description failed verification."""
 
 
-class RootDescription(NamedTuple):
-    q: int
-    degree: int
-    modulus: int
-    formula_set: frozenset[int]   # k-th roots of 0 or 1 mod m
-    surplus: frozenset[int]       # formula_set minus the exact event
+# formula_set: the k-th roots of 0 or 1 mod m; surplus: formula_set
+# minus the exact event
+RootDescription = namedtuple("RootDescription",
+                             "q degree modulus formula_set surplus")
 
 
 def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
@@ -369,11 +363,10 @@ def derive_k_m(cascade: Cascade, q: int) -> RootDescription:
     return RootDescription(q, degree, m, formula, formula - entry.event)
 
 
-class FamilyReport(NamedTuple):
-    matches: bool
-    missing: tuple[int, ...]   # in the closed-form family, not in the cascade
-    extra: tuple[int, ...]     # in the cascade, not in the family
-    group_sizes: dict[str, int]
+# missing: in the closed-form family, not in the cascade; extra: in the
+# cascade, not in the family
+FamilyReport = namedtuple("FamilyReport",
+                          "matches missing extra group_sizes")
 
 
 def family_check(cascade: Cascade) -> FamilyReport:

@@ -57,11 +57,11 @@ and a cascade that is dropped frees them.
 import sys
 import time
 from array import array
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd, lcm, prod
-from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .arith import sieve_and_factor
@@ -109,10 +109,7 @@ def classify_range(cascade: Cascade, start: int, stop: int) -> array:
     return out
 
 
-class FirstBaseScan(NamedTuple):
-    found: dict[int, int]
-    missing: tuple[int, ...]
-    seconds: float
+FirstBaseScan = namedtuple("FirstBaseScan", "found missing seconds")
 
 
 def _candidates(cascade: Cascade, j: int, modulus: int, classes: list[int]
@@ -202,9 +199,8 @@ def first_bases(cascade: Cascade, max_base: int | None = None
                          seconds=time.perf_counter() - t0)
 
 
-class CensusReport(NamedTuple):
-    cascade: Cascade
-    scan: FirstBaseScan
+class CensusReport(namedtuple("CensusReport", "cascade scan")):
+    __slots__ = ()
 
     @property
     def first_base(self) -> dict[int, int]:
@@ -216,11 +212,9 @@ class CensusReport(NamedTuple):
         return cls(cascade, first_bases(cascade, max_base))
 
 
-class Extremes(NamedTuple):
-    latest_first_base: tuple[int, int]     # (q, base)
-    rarest: tuple[int, Fraction]           # (q, rarity)
-    first_base_ties: tuple[int, ...]
-    rarity_ties: tuple[int, ...]
+# latest_first_base: (q, base); rarest: (q, rarity)
+Extremes = namedtuple("Extremes", "latest_first_base rarest "
+                      "first_base_ties rarity_ties")
 
 
 def extremes(report: CensusReport) -> Extremes:
@@ -233,11 +227,7 @@ def extremes(report: CensusReport) -> Extremes:
     return Extremes((q_fb, fb[q_fb]), (q_r, rar[q_r]), fb_ties, r_ties)
 
 
-class Mismatch(NamedTuple):
-    table: str
-    key: object
-    expected: object
-    actual: object
+Mismatch = namedtuple("Mismatch", "table key expected actual")
 
 
 def diff_cells(table: str, expected: dict, actual: dict) -> list[Mismatch]:

@@ -30,10 +30,10 @@ methods, not a function, because the benchmark's tracer
 ``residual`` calls a build.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from typing import NamedTuple
 
 from .arith import sieve_and_factor
 
@@ -52,12 +52,10 @@ class FormViolation(RuntimeError):
     as a checked assumption."""
 
 
-class PrimePowerEvent(NamedTuple):
-    q: int
-    p: int
-    modulus: int   # p**e, maximal in q
-    degree: int    # d = gcd(q-1, phi(modulus)): d units are roots
-    residues: frozenset[int]
+# modulus: p**e, maximal in q; degree: d = gcd(q-1, phi(modulus)), the
+# number of units among the residues
+PrimePowerEvent = namedtuple("PrimePowerEvent",
+                             "q p modulus degree residues")
 
 
 @lru_cache(maxsize=None)

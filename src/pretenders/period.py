@@ -14,9 +14,8 @@ proper divisor of N is a period.  The witnesses are assembled from the
 per-prime tables by CRT over the per-prime periods, whose product is N.
 """
 
-import random
+from collections import namedtuple
 from math import lcm, prod
-from typing import NamedTuple
 
 from .arith import crt, sieve_and_factor
 from .cascade import Cascade
@@ -50,10 +49,7 @@ def period_constant() -> int:
             * prod(p for p in sieve.primes if p <= largest_repeated))
 
 
-class LcmCheck(NamedTuple):
-    equal: bool
-    entry_lcm: int
-    period_value: int
+LcmCheck = namedtuple("LcmCheck", "equal entry_lcm period_value")
 
 
 def verify_lcm(cascade: Cascade) -> LcmCheck:
@@ -63,10 +59,9 @@ def verify_lcm(cascade: Cascade) -> LcmCheck:
     return LcmCheck(entry_lcm == value, entry_lcm, value)
 
 
-class PeriodicityReport(NamedTuple):
-    period: int
-    checked: int
-    failures: tuple[int, ...]
+class PeriodicityReport(namedtuple("PeriodicityReport",
+                                   "period checked failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -79,6 +74,7 @@ def periodicity_check(cascade: Cascade, samples: int = 1000,
     of ``SAMPLE_DIGITS`` digits; a check of no base is refused."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    import random   # its only use: a process that does not sample skips it
     n = period_constant()
     rng = random.Random(seed)
     bases = list(range(min(samples // 2, 200)))
@@ -90,17 +86,13 @@ def periodicity_check(cascade: Cascade, samples: int = 1000,
     return PeriodicityReport(n, len(bases), failures)
 
 
-class Witness(NamedTuple):
-    prime: int
-    base: int
-    shifted: int        # base + N/prime
-    value: int          # classify(base)
-    shifted_value: int  # classify(shifted), must differ
+# shifted: base + N/prime; value: classify(base); shifted_value:
+# classify(shifted), which must differ
+Witness = namedtuple("Witness", "prime base shifted value shifted_value")
 
 
-class MinimalityReport(NamedTuple):
-    witnesses: dict[int, Witness]
-    failed: tuple[int, ...]
+class MinimalityReport(namedtuple("MinimalityReport", "witnesses failed")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

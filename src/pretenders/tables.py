@@ -15,17 +15,17 @@ stay undecided at every modulus dividing 1260.  Each display is a plain
 dict of cells keyed by its CSV key columns; its axes are read off the
 keys.
 
-The golden copies of these displays ship as CSV assets.  They are data,
-transcribed once; nothing here derives from them -- they exist only to be
-diffed against, by ``census.diff_cells``.
+The golden copies of these displays ship as ASCII CSV assets.  They are
+data, transcribed once; nothing here derives from them -- they exist
+only to be diffed against, by ``census.diff_cells``.
 """
 
+import os
+from collections import namedtuple
 from math import prod
-from pathlib import Path
-from typing import NamedTuple
 
 from .cascade import Cascade, class_profile
-from .census import CensusReport, Mismatch, diff_cells, rarity_regression
+from .census import CensusReport, diff_cells, rarity_regression
 from .period import period_constant
 
 __all__ = [
@@ -100,10 +100,18 @@ def _axes(cells: dict) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # golden assets
 
-def _read_lines(name: str, directory: str | Path | None) -> list[str]:
-    root = (Path(__file__).parent / "data" if directory is None
-            else Path(directory))
-    return [ln for ln in (root / name).read_text().splitlines() if ln.strip()]
+def _read_lines(name: str, directory) -> list[str]:
+    """The non-blank lines of a golden file, which must be ASCII."""
+    if directory is None:
+        directory = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(directory, name), encoding="ascii") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise GoldenFormatError(
+                f"{name}: byte {exc.object[exc.start]:#04x} at offset "
+                f"{exc.start} is not ASCII") from None
+    return [ln for ln in text.splitlines() if ln.strip()]
 
 
 def _bad_row(name: str, what: str, row: list[str]) -> GoldenFormatError:
@@ -111,8 +119,10 @@ def _bad_row(name: str, what: str, row: list[str]) -> GoldenFormatError:
 
 
 def _int(token: str, name: str, row: list[str]) -> int:
-    try:   # int() alone also reads '3_41', ' 341' and non-ASCII digits
-        if token.isdigit() and token.isascii():
+    # int() alone also reads '3_41' and ' 341'; golden text is ASCII, so
+    # isdigit() holds for ASCII digits alone
+    try:
+        if token.isdigit():
             return int(token)
     except ValueError:   # past the interpreter's limit on digits
         pass
@@ -170,12 +180,8 @@ def load_golden_t2(directory=None) -> dict[tuple[int, int], int]:
     return cells
 
 
-class GoldenEntry(NamedTuple):
-    q: int
-    k: int
-    m: int
-    first_base: int
-    rarity: int   # in hundredths
+# rarity: in hundredths
+GoldenEntry = namedtuple("GoldenEntry", "q k m first_base rarity")
 
 
 def load_golden_t3(directory=None) -> list[GoldenEntry]:
@@ -200,7 +206,7 @@ def load_golden_t3(directory=None) -> list[GoldenEntry]:
 
 def load_golden_period(directory=None) -> str:
     lines = _read_lines("period.txt", directory)
-    if len(lines) != 1 or not (lines[0].isdigit() and lines[0].isascii()):
+    if len(lines) != 1 or not lines[0].isdigit():
         raise GoldenFormatError("period.txt: expected one line of digits")
     return lines[0]
 
@@ -208,8 +214,8 @@ def load_golden_period(directory=None) -> str:
 # ---------------------------------------------------------------------------
 # regression
 
-class RegressionSummary(NamedTuple):
-    mismatches: dict[str, list[Mismatch]]
+class RegressionSummary(namedtuple("RegressionSummary", "mismatches")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -234,6 +234,19 @@ def test_golden_loader_rejects_bad_period(asset_copy):
         load_golden_period(asset_copy)
 
 
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_golden_loader_names_the_offset_of_a_byte_that_is_not_ascii(
+        asset_copy, name):
+    path = asset_copy / name
+    offset = path.stat().st_size
+    with open(path, "ab") as f:
+        f.write(b"\xe9\n")
+    with pytest.raises(GoldenFormatError) as exc:
+        LOADERS[name](asset_copy)
+    assert str(exc.value) == (f"{name}: byte 0xe9 at offset {offset} "
+                              "is not ASCII")
+
+
 def test_golden_loader_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_golden_t3(tmp_path)
@@ -312,7 +325,7 @@ def fuzz_dir(tmp_path_factory):
 
 TOKENS = st.one_of(
     st.sampled_from(["", "?", "-1", "x", "1/0", "1e3", " 7", "1_0",
-                     "9" * 30]),
+                     "9" * 30, "\u00b2", "\u0663"]),
     st.text(st.sampled_from("0123456789?,-./ x"), max_size=8))
 
 
