@@ -1,8 +1,8 @@
 """Integer and exact-rational groundwork for the pretender computations.
 
-Arbitrary-precision naturals are Python ints.  Exact rationals are
-``fractions.Fraction``: always reduced, denominator positive, so
-densities and rarities never touch floats.  The sieve is a
+Arbitrary-precision naturals are Python ints, and so are exact
+rationals: a density is a count of bases over the period, a rarity the
+period over that count, so neither ever touches a float.  The sieve is a
 smallest-prime-factor table, which gives primality, full factorizations
 into maximal prime powers, and the composite list in one pass; the
 tracked powers are read off the composites' factorizations once.  A
@@ -86,21 +86,20 @@ def sieve_and_factor() -> Sieve:
     return Sieve()
 
 
-def render_decimal(x: "Fraction") -> str:
-    """Render an exact rational to two decimals, half-to-even, then trim
-    trailing zeros (and a bare trailing point).
+def render_decimal(num: int, den: int) -> str:
+    """Render the exact rational num/den, den positive, to two decimals,
+    half-to-even, then trim trailing zeros (and a bare trailing point).
 
-    render_decimal(Fraction(45, 2))    -> '22.5'
-    render_decimal(Fraction(1925, 8))  -> '240.62'   (exact tie, 2 is even)
-    render_decimal(Fraction(2))        -> '2'
+    render_decimal(45, 2)    -> '22.5'
+    render_decimal(1925, 8)  -> '240.62'   (exact tie, 2 is even)
+    render_decimal(2, 1)     -> '2'
     """
-    num, den = abs(x.numerator), x.denominator
-    scaled, rem = divmod(num * 100, den)
+    scaled, rem = divmod(abs(num) * 100, den)
     if 2 * rem > den or (2 * rem == den and scaled % 2 == 1):
         scaled += 1
     text = f"{scaled // 100}.{scaled % 100:02}".rstrip("0").rstrip(".")
     # no sign on a value that rounds to zero
-    return "-" + text if x < 0 and scaled else text
+    return "-" + text if num < 0 and scaled else text
 
 
 def crt(residues: list[int], moduli: list[int]) -> int:

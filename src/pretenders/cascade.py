@@ -14,10 +14,12 @@ the entries.
 Two facts make the bookkeeping exact.  First, every winner below the
 universal pretender constrains a single prime (checked at build time via
 FormViolation), so the unclaimed bases always form a product of per-prime
-residue sets, and each entry's base share is a ratio of products of cell
-counts, one ``Fraction`` per entry.  Second,
-the final composite 561 pretends to every base, so the leftover density
-is absorbed and the shares sum to exactly 1.
+residue sets, and each entry's share is a product of cell counts: a whole
+number of bases per period.  The ledger counts them over the product of
+the tracked powers; the build divides each by one factor, once the
+period N, the lcm of the entry moduli, is known, and keeps one int per
+entry over N.  Second, the final composite 561 pretends to every base,
+so the leftover bases are absorbed and the counts sum to exactly N.
 
 Each entry also carries a closed-form description: its event modulo the
 constrained prime power m is contained in the k-th roots of 0 or 1
@@ -48,6 +50,7 @@ is only printed or recounted lays neither.
 
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import lru_cache
 from math import gcd, lcm
 
 from .arith import UNIVERSAL_PRETENDER, render_decimal, sieve_and_factor
@@ -73,17 +76,30 @@ JOINT_PERIOD_CAP = 44_100
 
 
 class Characterization(namedtuple(
-        "Characterization", "q root_degree root_modulus prime event density")):
+        "Characterization",
+        "q root_degree root_modulus prime event count period")):
     """One decision-list entry.  Its ``event``, the residues mod m =
     ``root_modulus`` (the constrained prime power of ``prime``; 1, with
     prime None, for the universal entry) that satisfy it, lies in the k-th
-    roots of 0 or 1 (mod m) for k = ``root_degree``; ``density`` is the
-    exact share of bases it claims.  Its insertion-time state can be read
-    off the table of ``prime`` in ``Cascade.prime_tables``: the cells still
-    free when q was reached hold q's index or a later one, and the cells
-    q claimed hold q's index itself."""
+    roots of 0 or 1 (mod m) for k = ``root_degree``; it claims ``count``
+    bases in each run of ``period`` consecutive ones, the period N of
+    classify.  Its insertion-time state can be read off the table of
+    ``prime`` in ``Cascade.prime_tables``: the cells still free when q was
+    reached hold q's index or a later one, and the cells q claimed hold
+    q's index itself."""
 
     __slots__ = ()
+
+    @property
+    def density(self) -> "Fraction":
+        """The exact share of bases, count/period, as a ``Fraction``."""
+        return _fraction(self.count, self.period)
+
+    @property
+    def reduced_density(self) -> tuple[int, int]:
+        """The density as a (numerator, denominator) pair in lowest terms."""
+        g = gcd(self.count, self.period)
+        return self.count // g, self.period // g
 
     @property
     def rarity(self) -> "Fraction":
@@ -91,7 +107,16 @@ class Characterization(namedtuple(
 
     @property
     def rarity_display(self) -> str:
-        return render_decimal(self.rarity)
+        return render_decimal(self.period, self.count)
+
+
+@lru_cache(maxsize=None)
+def _fraction(num: int, den: int) -> "Fraction":
+    """num/den as a ``Fraction``, made once per pair, since a reduction of
+    122-digit terms costs more than the lookup; ``fractions`` loads on the
+    first call, not with the module."""
+    from fractions import Fraction
+    return Fraction(num, den)
 
 
 SkippedComposite = namedtuple("SkippedComposite", "q empty_primes")
@@ -300,23 +325,29 @@ def class_profile(cascade: Cascade, modulus: int, residue: int,
 def build_cascade() -> Cascade:
     """Derive the full decision list by the ascending-composite walk."""
     ledger = PreemptionLedger()
-    entries: list[Characterization] = []
+    winners: list[tuple[int, tuple, int]] = []
     skipped: list[SkippedComposite] = []
     for q in sieve_and_factor().composites:
         events = composite_event(q)
         empty = ledger.residual(events)
         if empty:
             skipped.append(SkippedComposite(q, empty))
-            continue
-        density = ledger.ingest(events)   # FormViolation on 2+ primes
+        else:   # FormViolation on 2+ primes
+            winners.append((q, events, ledger.ingest(events)))
+    # Each count is of bases per ``ledger.whole``, which N divides: each
+    # prime's free cells repeat with its own period, so each count is
+    # whole // N times the count per N.
+    period = lcm(*(ev.modulus for _, events, _ in winners for ev in events))
+    scale = ledger.whole // period
+    entries = []
+    for q, events, count in winners:
         if events:
             (ev,) = events
-            entry = Characterization(q, ev.degree, ev.modulus, ev.p,
-                                     ev.residues, density)
+            entry = (q, ev.degree, ev.modulus, ev.p, ev.residues)
         else:
             # universal pretender: every base matches, absorbing the rest
-            entry = Characterization(q, 1, 1, None, frozenset({0}), density)
-        entries.append(entry)
+            entry = (q, 1, 1, None, frozenset({0}))
+        entries.append(Characterization(*entry, count // scale, period))
     return Cascade(tuple(entries), tuple(skipped))
 
 

@@ -1,4 +1,4 @@
-"""Counting over the decision list: densities, first bases, extremes.
+"""Counting over the decision list: densities and first bases.
 
 ``classify_range`` classifies a contiguous base range at once.  It keeps
 a byte per base holding the index of its entry, laid by
@@ -39,12 +39,13 @@ of a composite up to 561), a byte per cell mod P marking the cells no
 earlier entry claims, and their count.  At each q it reads first: a
 skip counts the free cells that satisfy q's own congruence at each prime
 it names, and an entry counts them at q's own primes.  An entry's
-density is those counts times the free counts at every other prime,
-over the product of the P; the walk keeps the product of the free
-counts as one running int and makes one Fraction per entry.  Then each
-entry at q zeroes the cells of its congruence at its prime, one strided
-slice per root.  The walk reads only the entries' q, prime and modulus,
-the skips' q and named primes and the sieve; the roots come from pow()
+count is those counts times the free counts at every other prime: the
+bases it takes in each run of D consecutive ones, D the product of the
+P, kept as an int.  Its density, count/D, becomes a ``Fraction`` only
+when it is asked for.  Then each entry at q zeroes the cells of its
+congruence at its prime, one strided slice per root.  The walk reads
+only the entries' q, prime and modulus, the skips' q and named primes
+and the sieve; the roots come from pow()
 and are cached per (exponent, modulus) pair.  A memo keyed weakly by the
 cascade object keeps the walk's answers, so the first query makes them
 and a cascade that is dropped frees them.
@@ -55,31 +56,24 @@ and a cascade that is dropped frees them.
 """
 
 import sys
-import time
 from array import array
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import gcd, lcm, prod
+from math import gcd, prod
 from weakref import WeakKeyDictionary
 
 from .arith import sieve_and_factor
 from .cascade import Cascade, SkippedComposite, lay_entry_indices
-from .pretender import primary_pretender_oracle
 
 __all__ = [
     "CensusReport",
-    "Extremes",
     "FirstBaseScan",
     "Mismatch",
     "classify_range",
     "density_by_residue_count",
     "diff_cells",
-    "entry_period_lcm",
-    "extremes",
     "first_bases",
-    "oracle_period_census",
     "rarity_regression",
     "verify_skipped",
 ]
@@ -109,7 +103,7 @@ def classify_range(cascade: Cascade, start: int, stop: int) -> array:
     return out
 
 
-FirstBaseScan = namedtuple("FirstBaseScan", "found missing seconds")
+FirstBaseScan = namedtuple("FirstBaseScan", "found missing")
 
 
 def _candidates(cascade: Cascade, j: int, modulus: int, classes: list[int]
@@ -163,7 +157,6 @@ def first_bases(cascade: Cascade, max_base: int | None = None
     """Least base for every entry, exact and unbounded; an entry that
     serves no base raises ``RuntimeError``.  With ``max_base``, the
     entries with no least base below it are reported missing."""
-    t0 = time.perf_counter()
     head = classify_range(cascade, 0, PREFIX)
     # a later pair overwrites an earlier one, so the least base is kept
     first = dict(zip(reversed(head), range(PREFIX - 1, -1, -1)))
@@ -195,8 +188,7 @@ def first_bases(cascade: Cascade, max_base: int | None = None
     found = {q: b for q, b in sorted(first.items())
              if max_base is None or b < max_base}
     missing = tuple(sorted(set(cascade.qs()) - found.keys()))
-    return FirstBaseScan(found=found, missing=missing,
-                         seconds=time.perf_counter() - t0)
+    return FirstBaseScan(found=found, missing=missing)
 
 
 class CensusReport(namedtuple("CensusReport", "cascade scan")):
@@ -210,21 +202,6 @@ class CensusReport(namedtuple("CensusReport", "cascade scan")):
     def build(cls, cascade: Cascade,
               max_base: int | None = None) -> "CensusReport":
         return cls(cascade, first_bases(cascade, max_base))
-
-
-# latest_first_base: (q, base); rarest: (q, rarity)
-Extremes = namedtuple("Extremes", "latest_first_base rarest "
-                      "first_base_ties rarity_ties")
-
-
-def extremes(report: CensusReport) -> Extremes:
-    fb = report.first_base
-    q_fb = max(fb, key=lambda q: fb[q])
-    fb_ties = tuple(sorted(q for q in fb if fb[q] == fb[q_fb]))
-    rar = {e.q: e.rarity for e in report.cascade.entries}
-    q_r = max(rar, key=lambda q: rar[q])
-    r_ties = tuple(sorted(q for q in rar if rar[q] == rar[q_r]))
-    return Extremes((q_fb, fb[q_fb]), (q_r, rar[q_r]), fb_ties, r_ties)
 
 
 Mismatch = namedtuple("Mismatch", "table key expected actual")
@@ -256,32 +233,16 @@ def rarity_regression(report: CensusReport, golden_rows) -> list[Mismatch]:
 
     The golden rarity column is the exact rarity truncated (not rounded,
     as ``rarity_display`` is) to hundredths; the derived one, 1/density,
-    is truncated the same way: 100 * den // num for density num/den.
+    is truncated the same way: 100 * period // count.
     """
     derived = [(e.q, e.root_degree, e.root_modulus,
-                report.first_base.get(e.q),
-                100 * e.density.denominator // e.density.numerator)
+                report.first_base.get(e.q), 100 * e.period // e.count)
                for e in report.cascade.entries]
     return diff_cells("t3", _t3_cells(golden_rows), _t3_cells(derived))
 
 
 # ---------------------------------------------------------------------------
 # independent density checks
-
-def entry_period_lcm(cascade: Cascade, upto_q: int) -> int:
-    """lcm of the entry moduli for entries <= upto_q; the set of bases
-    claimed by those entries repeats with exactly this period."""
-    return lcm(*(e.root_modulus for e in cascade.entries if e.q <= upto_q))
-
-
-def oracle_period_census(limit: int) -> dict[int, int]:
-    """Count primary pretenders over [0, limit) by the brute-force oracle."""
-    counts: dict[int, int] = {}
-    for b in range(limit):
-        q = primary_pretender_oracle(b)
-        counts[q] = counts.get(q, 0) + 1
-    return counts
-
 
 @cache
 def _self_power_roots(w: int, m: int) -> tuple[int, ...]:
@@ -296,15 +257,16 @@ def _own_cells(mask: bytearray, q: int, m: int) -> int:
     return sum(mask[s::m].count(1) for s in _self_power_roots(q, m))
 
 
-# each cascade's densities and skip verdicts, made on its first query
-# and dropped with it
+# each cascade's counts and skip verdicts, made on its first query and
+# dropped with it
 _recounts: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _recount(cascade: Cascade
-             ) -> tuple[dict[int, Fraction], dict[int, bool]]:
-    """Every entry's density and every skip's verdict, by q, from one
-    walk over the cascade in ascending q (see the module docstring)."""
+             ) -> tuple[int, dict[int, int], dict[int, bool]]:
+    """D, every entry's count of bases per D and every skip's verdict, by
+    q, from one walk over the cascade in ascending q (see the module
+    docstring)."""
     done = _recounts.get(cascade)
     if done is not None:
         return done
@@ -312,9 +274,9 @@ def _recount(cascade: Cascade
     masks = {p: bytearray(b"\x01") * m
              for p, m in sieve.tracked_powers.items()}
     free = {p: len(mask) for p, mask in masks.items()}
-    # the running product of the free counts, over that of the moduli
-    num = den = prod(free.values())
-    densities: dict[int, Fraction] = {}
+    # the running product of the free counts, D before any claim
+    num = whole = prod(free.values())
+    counts: dict[int, int] = {}
     skips: dict[int, bool] = {}
     # a skip reads before an entry at its q claims
     walk = sorted([*cascade.skipped, *cascade.entries],
@@ -334,7 +296,7 @@ def _recount(cascade: Cascade
             if p in masks:
                 n *= _own_cells(masks[p], q, m)
                 d *= free[p]
-        densities[q] = Fraction(n // d, den) if n else Fraction(0)
+        counts[q] = n // d
         if x.prime in masks:
             p, m = x.prime, x.root_modulus
             mask = masks[p]
@@ -344,12 +306,13 @@ def _recount(cascade: Cascade
             old, free[p] = free[p], mask.count(1)
             if old:   # else num is 0 already
                 num = num // old * free[p]
-    done = _recounts[cascade] = densities, skips
+    done = _recounts[cascade] = whole, counts, skips
     return done
 
 
-def density_by_residue_count(cascade: Cascade, q: int) -> Fraction:
-    """Recount an entry's density from raw congruences.
+def density_by_residue_count(cascade: Cascade, q: int) -> "Fraction":
+    """Recount an entry's density from raw congruences, as a ``Fraction``
+    made from the recount when it is asked for.
 
     For each prime p, count the cells mod the tracked power P of p that
     no earlier entry's congruence claims, and at q's own primes only
@@ -358,14 +321,16 @@ def density_by_residue_count(cascade: Cascade, q: int) -> Fraction:
     pow(); the only cascade inputs are the entries' q values, primes and
     constrained moduli.
     """
+    from fractions import Fraction
     cascade.entry_for(q)   # KeyError unless q is an entry
-    return _recount(cascade)[0][q]
+    whole, counts, _ = _recount(cascade)
+    return Fraction(counts[q], whole)
 
 
 def verify_skipped(cascade: Cascade, q: int) -> bool:
     """Confirm from raw congruences that a skipped composite truly has an
     empty residual: at every prime it names, no cell is left free."""
-    skips = _recount(cascade)[1]
+    skips = _recount(cascade)[2]
     if q not in skips:
         raise KeyError(f"{q} is not a skipped composite")
     return skips[q]

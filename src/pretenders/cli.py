@@ -14,11 +14,12 @@ Exit status: 0 success / full match, 1 verification mismatch, 2 usage or
 I/O trouble.
 """
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 # Each subcommand imports the modules it runs, so that `classify` and
-# `density` load only the cascade.
+# `density` load only the cascade.  `classify`, `oracle` and `density`
+# with one bare integer skip argparse too (see ``_bare_integer``).
 from .cascade import build_cascade
 
 __all__ = ["entry", "main"]
@@ -52,7 +53,8 @@ def _cmd_density(args) -> int:
             print("rarity : n/a (no bases)")
             return 0
         raise ValueError(f"{q} is not a composite below 562") from None
-    print(f"density: {e.density.numerator}/{e.density.denominator}")
+    num, den = e.reduced_density
+    print(f"density: {num}/{den}")
     print(f"rarity : {e.rarity_display}")
     return 0
 
@@ -145,6 +147,7 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
 
@@ -166,6 +169,7 @@ def _base(text: str) -> int:
 def _non_negative(text: str) -> int:
     value = _int(text)
     if value < 0:
+        import argparse
         raise argparse.ArgumentTypeError(f"must not be negative: {text}")
     return value
 
@@ -173,32 +177,40 @@ def _non_negative(text: str) -> int:
 def _positive(text: str) -> int:
     value = _int(text)
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value
 
 
-def _make_parser() -> argparse.ArgumentParser:
+# the subcommands that take one integer: handler, argument name and
+# converter, for the parser and for ``_bare_integer`` alike
+_ONE_INTEGER = {"classify": (_cmd_classify, "base", _base),
+                "oracle": (_cmd_oracle, "base", _base),
+                "density": (_cmd_density, "q", int)}
+
+
+def _make_parser() -> "argparse.ArgumentParser":
+    import argparse
     parser = argparse.ArgumentParser(
         prog="pretenders",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("classify", help="decision-list value for one base")
-    p.add_argument("base", type=_base)
-    p.set_defaults(func=_cmd_classify)
+    def one_integer(command, summary):
+        func, name, convert = _ONE_INTEGER[command]
+        p = sub.add_parser(command, help=summary)
+        p.add_argument(name, type=convert)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("oracle", help="brute-force value for one base")
-    p.add_argument("base", type=_base)
-    p.set_defaults(func=_cmd_oracle)
+    one_integer("classify", "decision-list value for one base")
+    one_integer("oracle", "brute-force value for one base")
 
     p = sub.add_parser("cascade", help="dump the 132-entry decision list")
     p.add_argument("--format", choices=("txt", "csv", "json"), default="txt")
     p.set_defaults(func=_cmd_cascade)
 
-    p = sub.add_parser("density", help="exact density and rarity of one entry")
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_density)
+    one_integer("density", "exact density and rarity of one entry")
 
     p = sub.add_parser("firstbases", help="exact least base per entry")
     p.add_argument("--max", type=_positive, default=None, metavar="N",
@@ -232,12 +244,35 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bare_integer(argv: list[str]) -> SimpleNamespace | None:
+    """The parsed arguments of a subcommand of ``_ONE_INTEGER`` followed
+    by one token of ASCII digits, optionally after a '-', converted as the
+    parser converts it.  None for any other argv, and for a token whose
+    conversion fails: the parser answers those, help and errors among
+    them."""
+    if len(argv) != 2 or argv[0] not in _ONE_INTEGER:
+        return None
+    digits = argv[1].removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    func, name, convert = _ONE_INTEGER[argv[0]]
+    try:
+        value = convert(argv[1])
+    except ValueError:   # int past the interpreter's limit on digits
+        return None
+    return SimpleNamespace(func=func, **{name: value})
+
+
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _bare_integer(argv)
+    if args is None:
+        parser = _make_parser()
+        args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -21,17 +21,18 @@ sieve's ``tracked_powers``) that marks the cells no winner of the
 least-pretender contest has claimed yet.  ``residual`` answers at which
 primes a composite constrains its event has no free cell left: at none
 exactly when it wins.  ``ingest`` claims a winner's cells and answers its
-exact share of the bases.  Each winner constrains one prime and leaves it
-a free cell (else ``FormViolation``), so the unclaimed bases stay a
-product of per-prime free cells, and the share is a ratio of running
-products of the free-cell counts.  The walk is one class with those two
-methods, not a function, because the benchmark's tracer
+exact share of the bases, as the whole number of bases it takes in each
+run of ``whole`` consecutive ones, ``whole`` the product of the tracked
+powers.  Each winner constrains one prime and leaves it a free cell (else
+``FormViolation``), so the unclaimed bases stay a product of per-prime
+free cells, and the count is read off a running product of the free-cell
+counts.  The walk is one class with those two methods, not a function,
+because the benchmark's tracer
 (benchmarks/tracing.py) times them by name and its tests count 458
 ``residual`` calls a build.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
@@ -123,9 +124,9 @@ class PreemptionLedger:
         self.moduli = sieve_and_factor().tracked_powers
         self.masks = {p: bytearray(b"\x01") * m
                       for p, m in self.moduli.items()}
-        # the share of bases no winner has claimed: the product of the
-        # free-cell counts over the product of the moduli
-        self._num = self._den = prod(self.moduli.values())
+        # the bases no winner has claimed in each run of ``whole``: the
+        # product of the free-cell counts
+        self.whole = self._free = prod(self.moduli.values())
 
     def residual(self, events: tuple[PrimePowerEvent, ...]
                  ) -> tuple[int, ...]:
@@ -143,18 +144,19 @@ class PreemptionLedger:
                 empty += (ev.p,)
         return empty
 
-    def ingest(self, events: tuple[PrimePowerEvent, ...]) -> Fraction:
-        """Claim a winner's free event cells and return the exact share of
-        bases the winner takes.  The universal pretender constrains no
-        prime and takes every base still free.  A winner that constrains
-        several primes, or that claims the last free cell of its prime,
-        would break the product structure: FormViolation is raised."""
+    def ingest(self, events: tuple[PrimePowerEvent, ...]) -> int:
+        """Claim a winner's free event cells and return how many bases the
+        winner takes in each run of ``whole`` consecutive ones.  The
+        universal pretender constrains no prime and takes every base
+        still free.  A winner that constrains several primes, or that
+        claims the last free cell of its prime, would break the product
+        structure: FormViolation is raised."""
         if len(events) > 1:
             primes = [ev.p for ev in events]
             raise FormViolation(
                 f"winner {events[0].q} constrains several primes {primes}")
         if not events:
-            return Fraction(self._num, self._den)
+            return self._free
         ev = events[0]
         p, m = ev.p, ev.modulus
         mask = self.masks[p]
@@ -165,7 +167,8 @@ class PreemptionLedger:
         left = mask.count(1)
         if not left:
             raise FormViolation(f"winner {ev.q} leaves no free cell at {p}")
-        # the old - left cells claimed at p replace its old free cells
-        share = Fraction(self._num * (old - left), self._den * old)
-        self._num = self._num // old * left
-        return share
+        # every free cell at p stands for as many free bases: the winner
+        # takes those of the old - left cells it claims
+        per_cell = self._free // old
+        self._free = per_cell * left
+        return per_cell * (old - left)

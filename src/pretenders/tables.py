@@ -304,8 +304,8 @@ def _entry_table(cascade: Cascade, fmt: str,
         row = {"q": e.q, "k": e.root_degree, "m": e.root_modulus}
         if first_base is not None:
             row["first_base"] = first_base.get(e.q, "")
-        rows.append(row | {"density_num": e.density.numerator,
-                           "density_den": e.density.denominator,
+        num, den = e.reduced_density
+        rows.append(row | {"density_num": num, "density_den": den,
                            "rarity": e.rarity_display})
     if fmt == "json":
         import json   # its only use: a CSV or text process never loads it
@@ -319,7 +319,8 @@ def format_cascade(cascade: Cascade, fmt: str = "txt") -> str:
         return _entry_table(cascade, fmt)
     lines = [f"{'q':>4} {'k':>3} {'m':>4} {'density':>12} {'rarity':>11}"]
     for e in cascade.entries:
-        dens = f"{e.density.numerator}/{e.density.denominator}"
+        num, den = e.reduced_density
+        dens = f"{num}/{den}"
         lines.append(f"{e.q:>4} {e.root_degree:>3} {e.root_modulus:>4} "
                      f"{dens:>12} {e.rarity_display:>11}")
     return "\n".join(lines) + "\n"

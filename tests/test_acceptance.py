@@ -13,14 +13,13 @@ import time
 from fractions import Fraction
 from math import floor
 
+from census_checks import entry_period_lcm, extremes, oracle_period_census
 from pretenders.arith import render_decimal, sieve_and_factor
 from pretenders.cascade import build_cascade, derive_k_m, family_check
 from pretenders.census import (
+    CensusReport,
     classify_range,
     density_by_residue_count,
-    entry_period_lcm,
-    extremes,
-    oracle_period_census,
     verify_skipped,
 )
 from pretenders.period import (
@@ -102,23 +101,24 @@ def test_acceptance_03_oracle_equivalence(capsys, cascade):
             ok, f"{mismatches} mismatches, {dt:.1f}s")
 
 
-def test_acceptance_04_first_bases(capsys, census_report):
+def test_acceptance_04_first_bases(capsys, cascade):
     golden = {r.q: r.first_base for r in load_golden_t3()}
-    ok = (census_report.first_base == golden
-          and not census_report.scan.missing
-          and extremes(census_report).latest_first_base == (453, 10009487)
-          and census_report.scan.seconds < 600.0)
+    t0 = time.perf_counter()
+    report = CensusReport.build(cascade)
+    dt = time.perf_counter() - t0
+    ok = (report.first_base == golden
+          and not report.scan.missing
+          and extremes(report).latest_first_base == (453, 10009487)
+          and dt < 600.0)
     verdict(capsys, 4, "all 132 first bases match, found by exact search",
-            ok, f"search took {census_report.scan.seconds:.1f}s, "
-                f"max (453, 10009487)")
+            ok, f"search took {dt:.1f}s, max (453, 10009487)")
 
 
 def test_acceptance_05_rarities(capsys, cascade, census_report):
     tol = Fraction(1, 100)
     golden = {r.q: Fraction(r.rarity, 100) for r in load_golden_t3()}
     off = [q for q, want in golden.items()
-           if abs(Fraction(render_decimal(cascade.entry_for(q).rarity))
-                  - want) > tol]
+           if abs(Fraction(cascade.entry_for(q).rarity_display) - want) > tol]
     # the golden column truncates; the rendering rounds half-to-even
     untruncated = [q for q, want in golden.items()
                    if Fraction(floor(100 * cascade.entry_for(q).rarity), 100)
@@ -129,13 +129,13 @@ def test_acceptance_05_rarities(capsys, cascade, census_report):
                    for q, text in spots.items())
     golden_argmax = max(golden, key=golden.get)
     rarest_q, rarest = extremes(census_report).rarest
-    argmax_ok = (rarest_q == golden_argmax == 543
-                 and render_decimal(rarest) == "4178269.83")
+    shown = render_decimal(rarest.numerator, rarest.denominator)
+    argmax_ok = rarest_q == golden_argmax == 543 and shown == "4178269.83"
     ok = not off and not untruncated and spots_ok and argmax_ok
     verdict(capsys, 5, "all 132 rarities within 0.01 and exact truncations, "
             "argmax at q=543", ok,
             f"{len(off)} out of tolerance, {len(untruncated)} not truncations; "
-            f"argmax q={rarest_q} at {render_decimal(rarest)}, "
+            f"argmax q={rarest_q} at {shown}, "
             f"golden argmax q={golden_argmax}")
 
 

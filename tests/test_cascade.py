@@ -88,6 +88,19 @@ def test_densities_sum_to_one_exactly(cascade):
     assert all(e.density > 0 for e in cascade.entries)
 
 
+def test_counts_are_whole_bases_per_period(cascade):
+    # every entry stores its count of bases per period N in ints; the
+    # counts sum to N, and the density is read off them
+    n = period_constant()
+    assert all(type(e.count) is int and e.period == n
+               for e in cascade.entries)
+    assert sum(e.count for e in cascade.entries) == n
+    for e in cascade.entries:
+        assert e.density == Fraction(e.count, n), e.q
+        assert e.reduced_density == (e.density.numerator,
+                                     e.density.denominator), e.q
+
+
 def test_classify_spots(cascade):
     assert cascade.classify(0) == 4
     assert cascade.classify(1) == 4

@@ -13,6 +13,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from census_checks import entry_period_lcm, extremes, oracle_period_census
 from pretenders import census, events
 from pretenders.cascade import (
     Cascade,
@@ -23,10 +24,7 @@ from pretenders.cascade import (
 from pretenders.census import (
     classify_range,
     density_by_residue_count,
-    entry_period_lcm,
-    extremes,
     first_bases,
-    oracle_period_census,
     rarity_regression,
     verify_skipped,
 )
@@ -309,7 +307,7 @@ def test_extremes(census_report):
 
 
 @pytest.mark.parametrize("record, field", [
-    (lambda report: report.cascade.entries[0], "density"),
+    (lambda report: report.cascade.entries[0], "count"),
     (lambda report: report, "scan"),
     (lambda report: report.scan, "found"),
 ], ids=["Characterization", "CensusReport", "FirstBaseScan"])

@@ -1,17 +1,16 @@
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-# census binds the oracle when it is first imported: import it here, not
-# first while a test has the oracle patched
-import pretenders.census  # noqa: F401
-from pretenders import period, pretender
+from pretenders import cli, period, pretender
 from pretenders.cascade import build_cascade
 from pretenders.cli import main
 
@@ -341,6 +340,48 @@ def test_bad_numeric_arguments_exit_2(capsys, argv):
         assert "invalid int value" in err
 
 
+def _outcome(monkeypatch, argv, parser_only):
+    """Exit status, stdout and stderr of ``main(argv)``, with the parser
+    answering every argv when ``parser_only``."""
+    out, err = io.StringIO(), io.StringIO()
+    with monkeypatch.context() as patched:
+        patched.setenv("COLUMNS", "80")
+        if parser_only:
+            patched.setattr(cli, "_bare_integer", lambda argv: None)
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:   # argparse's usage errors
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+HUGE = "9" * 5000   # past the 4300 digits that int(str) accepts by default
+
+# one integer token of ASCII digits, optionally after a '-': answered
+# without the parser
+BARE = [("classify", "2"), ("classify", "-0"), ("classify", "-7"),
+        ("classify", "007"), ("classify", HUGE), ("oracle", "-341"),
+        ("density", "15"), ("density", "8"), ("density", "7"),
+        ("density", "-4")]
+# everything else, and a token whose conversion fails, goes to the parser
+PARSED = [("density", HUGE), ("classify", "+5"), ("classify", "1_000"),
+          ("classify", " 5"), ("classify", "\u0663"), ("classify", "5", "6"),
+          ("classify", "--", "-7"), ("classify", "-h"), ("classify",),
+          ("classify", "-"), ("classify", "--7"), ("classify", ""),
+          ("period", "5"), ()]
+
+
+@pytest.mark.parametrize("argv", BARE + PARSED, ids=[
+    repr(" ".join(argv).replace(HUGE, "9x5000")) for argv in BARE + PARSED])
+def test_a_bare_integer_answers_as_the_parser_does(monkeypatch, argv):
+    assert (cli._bare_integer(list(argv)) is not None) == (argv in BARE)
+    got = _outcome(monkeypatch, argv, parser_only=False)
+    assert got == _outcome(monkeypatch, argv, parser_only=True)
+    if argv == ("density", HUGE):
+        assert got[0] == 2 and "invalid int value" in got[2]
+
+
 def test_zero_samples_still_skips(capsys):
     code, out, _ = run(capsys, "period", "--samples", "0")
     assert code == 0 and "periodicity" not in out
@@ -389,11 +430,13 @@ def test_runs_without_dataclasses_typing_or_pathlib():
 
 
 # modules that no subcommand loads
-NOT_FOR_ANY = ("typing", "pathlib")
-# modules that neither `classify` nor `density` runs
+NOT_FOR_ANY = ("typing", "pathlib", "fractions", "decimal")
+# modules that neither `classify` nor `density` runs; a bare integer
+# builds no parser
 NOT_FOR_CLASSIFY = NOT_FOR_ANY + (
     "pretenders.census", "pretenders.period", "pretenders.tables",
-    "pretenders.pretender", "json", "random", "importlib.resources")
+    "pretenders.pretender", "json", "random", "importlib.resources",
+    "argparse")
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -402,7 +445,8 @@ NOT_FOR_CLASSIFY = NOT_FOR_ANY + (
     (["period", "--samples", "10", "--minimality"],
      NOT_FOR_ANY + ("pretenders.census", "pretenders.tables", "json")),
     (["oracle", "2"], NOT_FOR_ANY + ("pretenders.census", "pretenders.period",
-                                     "pretenders.tables", "random")),
+                                     "pretenders.tables", "random",
+                                     "argparse")),
     # only the JSON listing loads json, and only sampling random
     (["table", "--which", "t2"], NOT_FOR_ANY + ("json", "random")),
     (["cascade", "--format", "csv"], NOT_FOR_ANY + ("json", "random")),

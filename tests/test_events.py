@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -127,14 +126,16 @@ def test_ledger_residual_before_any_ingest():
     ledger = PreemptionLedger()
     for q in (4, 6, 8, 9, 12, 561):
         assert ledger.residual(composite_event(q)) == ()
-    # 4 takes the lifts of 0, 1 mod 4: 256 of the 2^9 cells
-    assert ledger.ingest(composite_event(4)) == Fraction(1, 2)
+    # 4 takes the lifts of 0, 1 mod 4: 256 of the 2^9 cells, and so half
+    # of the bases in each run of ``whole``
+    assert ledger.ingest(composite_event(4)) == ledger.whole // 2
     assert ledger.masks[2].count(1) == 256
 
 
 def test_ledger_ingest_then_preempt():
     ledger = PreemptionLedger()
-    assert ledger.ingest(composite_event(4)) == Fraction(1, 2)
+    whole = ledger.whole
+    assert ledger.ingest(composite_event(4)) == whole // 2
     # 4 claims every lift of 0, 1 mod 4 to mod 2^9, and nothing elsewhere
     assert ledger.masks[2] == bytes(r % 4 > 1 for r in range(512))
     assert all(set(mask) == {1}
@@ -143,9 +144,9 @@ def test_ledger_ingest_then_preempt():
     # of the 3^5 cells at 3, on the half of the bases 4 left
     events6 = composite_event(6)
     assert ledger.residual(events6) == ()
-    assert ledger.ingest(events6) == Fraction(1, 3)
+    assert ledger.ingest(events6) == whole // 3
     # 9 takes the 27 cells = 8 mod 9 of the 81 that 6 left at 3
-    assert ledger.ingest(composite_event(9)) == Fraction(1, 18)
+    assert ledger.ingest(composite_event(9)) == whole // 18
     # 8's residual is empty: its event mod 8 is {0,1}, both preempted by 4
     assert ledger.residual(composite_event(8)) == (2,)
 
@@ -155,8 +156,8 @@ def test_ledger_refuses_to_exhaust_a_prime():
     # with no free cell at 3, no base would be unclaimed, and residual
     # would have to report 3 for every composite, constrained at 3 or not
     ledger = PreemptionLedger()
-    assert ledger.ingest(
-        [PrimePowerEvent(6, 3, 3, 1, frozenset({0, 1}))]) == Fraction(2, 3)
+    assert ledger.ingest([PrimePowerEvent(6, 3, 3, 1, frozenset({0, 1}))]
+                         ) == ledger.whole // 3 * 2
     with pytest.raises(FormViolation, match="winner 15 leaves no free "
                                             "cell at 3"):
         ledger.ingest([PrimePowerEvent(15, 3, 3, 0, frozenset({2}))])
@@ -173,7 +174,7 @@ def test_ledger_rejects_two_nontrivial_components():
 def test_ledger_ingest_of_all_trivial_is_noop():
     ledger = PreemptionLedger()
     # the universal pretender claims no cell and takes every base
-    assert ledger.ingest(composite_event(561)) == 1
+    assert ledger.ingest(composite_event(561)) == ledger.whole
     assert all(set(mask) == {1} for mask in ledger.masks.values())
 
 
