@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import pretenders
 from pretenders import (
     build_cascade,
     derive_k_m,
@@ -34,7 +35,8 @@ from pretenders.tables import format_cascade, load_golden_t3
 # every field of every entry and skip of a build, written by an earlier
 # build; the CLI snapshots pin only q, k, m and the densities
 PINNED_BUILD = Path(__file__).parent / "data" / "build.json"
-SRC = Path(__file__).resolve().parents[1] / "src"
+# the package under test: src/pretenders in a checkout, or an install
+PACKAGE_DIR = Path(pretenders.__file__).parent
 
 HAND_DENSITIES = {
     4: Fraction(1, 2),
@@ -422,7 +424,7 @@ def test_a_cascade_must_end_with_the_universal_entry(cascade):
         with pytest.raises(ValueError, match="end with the universal entry"):
             Cascade(tuple(entries), ())
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-O", "-c", BAD_SHAPES],
                           capture_output=True, text=True, timeout=60, env=env)
     assert (proc.returncode, proc.stdout) == (
@@ -431,7 +433,7 @@ def test_a_cascade_must_end_with_the_universal_entry(cascade):
 
 def test_the_package_holds_no_assert_statement():
     # python -O strips an assert, so no check of the package may be one
-    for path in sorted((SRC / "pretenders").glob("*.py")):
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         lines = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Assert)]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from census_checks import entry_period_lcm, extremes, oracle_period_census
+import pretenders
 from pretenders import census, events
 from pretenders.cascade import (
     Cascade,
@@ -30,9 +31,9 @@ from pretenders.census import (
 )
 from pretenders.tables import format_cascade, format_t3, load_golden_t3
 
-SRC_PATH = os.pathsep.join(filter(None, [
-    str(Path(__file__).resolve().parents[1] / "src"),
-    os.environ.get("PYTHONPATH")]))
+# the directory holding the package under test: src/ or site-packages
+PACKAGE_PATH = os.pathsep.join(filter(None, [
+    str(Path(pretenders.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
 
 
 def test_classify_range_matches_scalar(cascade):
@@ -278,7 +279,7 @@ def test_search_on_a_cascade_whose_table_0_is_not_a_multiple_of_180(
     assert found[213] == 23_216
     proc = subprocess.run([sys.executable, "-O", "-c", CUT_SCRIPT],
                           capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": SRC_PATH})
+                          env={**os.environ, "PYTHONPATH": PACKAGE_PATH})
     assert (proc.returncode, proc.stdout) == (0, "True 23216\n"), proc.stderr
 
 

@@ -10,16 +10,21 @@ from pathlib import Path
 
 import pytest
 
+import pretenders
 from pretenders import cli, period, pretender
 from pretenders.cascade import build_cascade
 from pretenders.cli import main
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
-ASSET_DIR = SRC_DIR / "pretenders" / "data"
+# the package under test, where this process imported it from: src/ in
+# a checkout, site-packages when the suite runs against an install
+PACKAGE_DIR = Path(pretenders.__file__).parent
+ASSET_DIR = PACKAGE_DIR / "data"
 
 
 def child_env():
-    path = os.pathsep.join(filter(None, [str(SRC_DIR),
+    """The environment for a child process that imports the same copy of
+    the package as this one, under ``python -S`` too."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent),
                                          os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
 
@@ -38,6 +43,8 @@ def test_classify_and_oracle(capsys):
     big = str(10**50 + 3)
     code, out, _ = run(capsys, "classify", big)
     assert code == 0 and int(out) <= 561
+    # a bare negative base answers as one after '--'
+    assert run(capsys, "classify", "-7") == run(capsys, "classify", "--", "-7")
 
 
 @pytest.mark.parametrize("command", ["classify", "oracle"])
@@ -239,6 +246,12 @@ def _repeat_4_and_break_453(text):
     return text + "4,1,4,999,2\n"
 
 
+def _write_rarity_543_as_a_fraction(text):
+    # the same value, but not a rarity as t3 writes one: no diff by value
+    return text.replace("\n543,2,181,4503098,4178269.82\n",
+                        "\n543,2,181,4503098,417826982/100\n")
+
+
 @pytest.mark.parametrize("name, edit", [
     ("t3.csv", _repeat_4_and_break_453),
     ("t2.csv", lambda text: "class,row,value\n"),
@@ -247,8 +260,10 @@ def _repeat_4_and_break_453(text):
     ("period.txt", lambda text: text.strip() + "\u00b2\n"),
     # written through surrogateescape, U+DCFF is the lone byte 0xff
     ("t2.csv", lambda text: text + "\udcff"),
+    ("t3.csv", _write_rarity_543_as_a_fraction),
 ], ids=["t3-repeated-q", "t2-header-only", "t1-repeated-key",
-        "t1-bad-header", "period-superscript-digit", "t2-ends-in-0xff"])
+        "t1-bad-header", "period-superscript-digit", "t2-ends-in-0xff",
+        "t3-rarity-as-a-fraction"])
 def test_verify_rejects_repeated_rows_and_empty_grids(capsys, tmp_path, name,
                                                       edit):
     for asset in ("mod36.csv", "t1.csv", "t2.csv", "t3.csv", "period.txt"):

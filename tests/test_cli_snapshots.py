@@ -20,11 +20,13 @@ from pathlib import Path
 
 import pytest
 
+import pretenders
 from pretenders.census import density_by_residue_count, verify_skipped
 from pretenders.cli import main
 
 DATA = Path(__file__).parent / "data" / "cli"
-T3 = Path(__file__).parents[1] / "src" / "pretenders" / "data" / "t3.csv"
+# the golden files of the package under test, in src/ or installed
+GOLDEN = Path(pretenders.__file__).parent / "data"
 CASES = json.loads((DATA / "cases.json").read_text(encoding="utf-8"))
 
 
@@ -68,7 +70,7 @@ def test_every_subcommand_has_a_case():
     commands = {case["argv"][0] for case in CASES if case["argv"]}
     assert {"classify", "oracle", "cascade", "density", "firstbases",
             "period", "table", "verify"} <= commands
-    assert len(CASES) == 37
+    assert len(CASES) == 39
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
@@ -107,7 +109,7 @@ def printed_densities():
 
 def test_the_snapshot_agrees_with_t3_and_the_recounts(cascade):
     # q, k and m of every listing are t3's first three columns
-    with T3.open(newline="") as f:
+    with (GOLDEN / "t3.csv").open(newline="") as f:
         t3 = [row[:3] for row in csv.reader(f)][1:]
     qkm = {
         "cascade-csv": [row[:3] for row in
@@ -119,6 +121,10 @@ def test_the_snapshot_agrees_with_t3_and_the_recounts(cascade):
     }
     for name, rows in qkm.items():
         assert rows == t3, name
+    # and each CSV grid the CLI prints is its golden file, byte for byte
+    for which in ("mod36", "t1", "t2"):
+        assert (DATA / f"table-{which}-csv.out").read_bytes() == \
+            (GOLDEN / f"{which}.csv").read_bytes(), which
     # every printed density is the raw recount of its entry's share
     recount = {e.q: density_by_residue_count(cascade, e.q)
                for e in cascade.entries}

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pretenders
 from pretenders.cascade import Cascade
 from pretenders.tables import (
     GoldenFormatError,
@@ -25,7 +26,8 @@ from pretenders.tables import (
     run_regressions,
 )
 
-ASSET_DIR = Path(__file__).resolve().parents[1] / "src" / "pretenders" / "data"
+# the golden files of the package under test, in src/ or installed
+ASSET_DIR = Path(pretenders.__file__).parent / "data"
 LOADERS = {"mod36.csv": load_golden_mod36, "t1.csv": load_golden_t1,
            "t2.csv": load_golden_t2, "t3.csv": load_golden_t3,
            "period.txt": load_golden_period}
